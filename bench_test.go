@@ -173,7 +173,9 @@ func BenchmarkCKATEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := core.NewDefault()
-		m.Fit(d, cfg)
+		if err := m.Train(context.Background(), d, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -187,7 +189,9 @@ func BenchmarkCKATAttention(b *testing.B) {
 	cfg.Epochs = 1
 	withAtt := core.DefaultOptions()
 	m := core.New(withAtt)
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.RecomputeAttention()
@@ -202,7 +206,9 @@ func BenchmarkFullRankingEval(b *testing.B) {
 	cfg.EmbedDim = 32
 	cfg.Epochs = 1
 	m := core.NewDefault()
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eval.Evaluate(d, m, 20)
@@ -259,7 +265,9 @@ func BenchmarkCKATAttentionSerial(b *testing.B) {
 	opts := core.DefaultOptions()
 	opts.ParallelAttention = false
 	m := core.New(opts)
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.RecomputeAttention()
@@ -277,13 +285,17 @@ func BenchmarkAblationNoKGPhase(b *testing.B) {
 	cfg.Epochs = 6
 	for i := 0; i < b.N; i++ {
 		full := core.NewDefault()
-		full.Fit(d, cfg)
+		if err := full.Train(context.Background(), d, cfg); err != nil {
+			b.Fatal(err)
+		}
 		ablated := core.New(func() core.Options {
 			o := core.DefaultOptions()
 			o.SkipKGPhase = true
 			return o
 		}())
-		ablated.Fit(d, cfg)
+		if err := ablated.Train(context.Background(), d, cfg); err != nil {
+			b.Fatal(err)
+		}
 		fullR := eval.Evaluate(d, full, 20).Recall
 		ablR := eval.Evaluate(d, ablated, 20).Recall
 		b.ReportMetric(fullR, "full-recall@20")
@@ -317,7 +329,9 @@ func BenchmarkKSweep(b *testing.B) {
 	cfg.EmbedDim = 32
 	cfg.Epochs = 6
 	m := core.NewDefault()
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sweep := eval.EvaluateSweep(d, m, []int{5, 10, 20, 40})
@@ -336,7 +350,9 @@ func benchServeModel(b *testing.B) (*dataset.Dataset, *core.Model) {
 	cfg := models.DefaultTrainConfig()
 	cfg.EmbedDim = 32
 	cfg.Epochs = 3
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		b.Fatal(err)
+	}
 	return d, m
 }
 

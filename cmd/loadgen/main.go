@@ -100,7 +100,10 @@ func main() {
 		workload = buildWorkload(sm, mix, *batchSize, *seed)
 	} else {
 		fmt.Printf("training the shared self-serve model (users=%d epochs=%d)...\n", *users, *epochs)
-		sm := loadgen.TrainSelfModel(*seed, *users, *epochs)
+		sm, err := loadgen.TrainSelfModel(*seed, *users, *epochs)
+		if err != nil {
+			fatal(err)
+		}
 		workload = buildWorkload(sm, mix, *batchSize, *seed)
 		ingestDir := ""
 		if strings.Contains(*mixSpec, "ingest") {

@@ -12,7 +12,7 @@
 // /v1/health/ready answering 503) and keeps retrying via hot reload.
 // SIGHUP or POST /v1/admin/reload re-reads the snapshot and swaps it
 // in without dropping traffic. Snapshots are written atomically in the
-// checksummed ckpt framing; legacy raw-gob snapshot files still load.
+// checksummed ckpt framing, the only format the loader accepts.
 package main
 
 import (

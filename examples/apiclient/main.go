@@ -33,7 +33,9 @@ func main() {
 	tc.Epochs = 5
 	tc.EmbedDim = 16
 	fmt.Printf("training CKAT on %s...\n", d.Name)
-	m.Fit(d, tc)
+	if err := m.Train(context.Background(), d, tc); err != nil {
+		log.Fatal(err)
+	}
 
 	// Serve on an ephemeral port.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

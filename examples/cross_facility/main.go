@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/facility"
+	"repro/internal/graph"
 	"repro/internal/kg"
 	"repro/internal/trace"
 )
@@ -61,8 +62,7 @@ func main() {
 		fmt.Println("could not locate bridge endpoints")
 		return
 	}
-	adj := combined.BuildAdjacency()
-	paths := combined.FindPaths(adj, src, dst, 5, 3)
+	paths := graph.Freeze(combined).FindPaths(src, dst, 5, 3)
 	fmt.Printf("\ncross-facility connectivity (%s -> %s):\n",
 		combined.Entities[src].Name, combined.Entities[dst].Name)
 	if len(paths) == 0 {
@@ -70,7 +70,7 @@ func main() {
 		return
 	}
 	for _, p := range paths {
-		fmt.Println("  " + combined.FormatPath(p))
+		fmt.Println("  " + combined.FormatSteps(p))
 	}
 	fmt.Println("\nsuch paths are exactly the high-order connectivity a future",
 		"\ncross-facility CKAT would propagate over (§IV).")

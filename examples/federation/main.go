@@ -90,11 +90,10 @@ func main() {
 	src := itemEntityByType(fed, fed.PartByName("SEISNET"), "broadband seismogram")
 	dst := itemEntityByType(fed, fed.PartByName("GAGE"), "position time series")
 	if src >= 0 && dst >= 0 {
-		adj := fed.Graph.BuildAdjacency()
 		fmt.Printf("\ncross-facility connectivity (%s -> %s):\n",
 			fed.Graph.Entities[src].Name, fed.Graph.Entities[dst].Name)
-		for _, p := range fed.Graph.FindPaths(adj, src, dst, 5, 3) {
-			fmt.Println("  " + fed.Graph.FormatPath(p))
+		for _, p := range fed.CSR().FindPaths(src, dst, 5, 3) {
+			fmt.Println("  " + fed.Graph.FormatSteps(p))
 		}
 	}
 

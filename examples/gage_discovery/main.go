@@ -12,7 +12,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -48,10 +50,14 @@ func main() {
 
 	fmt.Println("\ntraining CKAT with UIG+LOC (instrument locality knowledge)...")
 	mLoc := core.NewDefault()
-	mLoc.Fit(dLoc, tc)
+	if err := mLoc.Train(context.Background(), dLoc, tc); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("training CKAT with UIG+DKG (domain knowledge only)...")
 	mDkg := core.NewDefault()
-	mDkg.Fit(dDkg, tc)
+	if err := mDkg.Train(context.Background(), dDkg, tc); err != nil {
+		log.Fatal(err)
+	}
 
 	rLoc := eval.Evaluate(dLoc, mLoc, 20)
 	rDkg := eval.Evaluate(dDkg, mDkg, 20)

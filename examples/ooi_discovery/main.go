@@ -14,7 +14,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -57,9 +59,13 @@ func main() {
 	tc.EmbedDim = 32
 	fmt.Println("\ntraining CKAT and BPRMF...")
 	ckat := core.NewDefault()
-	ckat.Fit(d, tc)
+	if err := ckat.Train(context.Background(), d, tc); err != nil {
+		log.Fatal(err)
+	}
 	mf := bprmf.New()
-	mf.Fit(d, tc)
+	if err := mf.Train(context.Background(), d, tc); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\noverall: CKAT recall@20=%.4f | BPRMF recall@20=%.4f\n",
 		eval.Evaluate(d, ckat, 20).Recall, eval.Evaluate(d, mf, 20).Recall)

@@ -11,7 +11,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -41,7 +43,9 @@ func main() {
 	tc.Epochs = 10
 	tc.EmbedDim = 32
 	fmt.Println("training CKAT (10 epochs)...")
-	m.Fit(d, tc)
+	if err := m.Train(context.Background(), d, tc); err != nil {
+		log.Fatal(err)
+	}
 
 	// 4. Evaluate with the paper's protocol.
 	metrics := eval.Evaluate(d, m, 20)
@@ -68,12 +72,11 @@ func main() {
 	if len(d.TrainByUser[user]) > 0 {
 		src := d.ItemEnt[d.TrainByUser[user][0]]
 		dst := d.ItemEnt[top[0]]
-		adj := d.Graph.BuildAdjacency()
-		paths := d.Graph.FindPaths(adj, src, dst, 4, 3)
+		paths := d.CSR().FindPaths(src, dst, 4, 3)
 		fmt.Printf("\nwhy %q: knowledge paths from your history item %q:\n",
 			cat.Items[top[0]].Name, cat.Items[d.TrainByUser[user][0]].Name)
 		for _, p := range paths {
-			fmt.Println("  " + d.Graph.FormatPath(p))
+			fmt.Println("  " + d.Graph.FormatSteps(p))
 		}
 	}
 }

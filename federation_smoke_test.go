@@ -137,7 +137,9 @@ func BenchmarkFederatedEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := core.NewDefault()
-		m.Fit(fed.Dataset, cfg)
+		if err := m.Train(context.Background(), fed.Dataset, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -153,7 +155,9 @@ func BenchmarkSoloEpochs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for p := range fed.Parts {
 			m := core.NewDefault()
-			m.Fit(fed.Parts[p].Dataset, cfg)
+			if err := m.Train(context.Background(), fed.Parts[p].Dataset, cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -167,7 +171,9 @@ func BenchmarkFederatedServeRecommend(b *testing.B) {
 	cfg := models.DefaultTrainConfig()
 	cfg.EmbedDim = 32
 	cfg.Epochs = 3
-	m.Fit(fed.Dataset, cfg)
+	if err := m.Train(context.Background(), fed.Dataset, cfg); err != nil {
+		b.Fatal(err)
+	}
 	s := serve.New(fed.Dataset, m, serve.WithFederation(fed))
 	paths := make([]string, 0, fed.NumUsers)
 	for p := range fed.Parts {

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -41,7 +42,9 @@ func TestEndToEndPipeline(t *testing.T) {
 	tc := models.DefaultTrainConfig()
 	tc.Epochs = 5
 	tc.EmbedDim = 16
-	m.Fit(d, tc)
+	if err := m.Train(context.Background(), d, tc); err != nil {
+		t.Fatal(err)
+	}
 
 	// 4. Evaluate: must clearly beat an arbitrary ranking.
 	metrics := eval.Evaluate(d, m, 20)
@@ -62,7 +65,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	// 6. Serve from the snapshot.
 	srv := httptest.NewServer(serve.New(d, snap.Scorer()))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/recommend?user=2&k=5")
+	resp, err := http.Get(srv.URL + "/v1/recommend?user=2&k=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +108,16 @@ func TestCKATBeatsCFBaselineEndToEnd(t *testing.T) {
 	tc.EmbedDim = 32
 
 	ckat := core.NewDefault()
-	ckat.Fit(d, tc)
+	if err := ckat.Train(context.Background(), d, tc); err != nil {
+		t.Fatal(err)
+	}
 	ckatRecall := eval.Evaluate(d, ckat, 20).Recall
 
 	// BPRMF shares the identical training budget.
 	bpr := bprmf.New()
-	bpr.Fit(d, tc)
+	if err := bpr.Train(context.Background(), d, tc); err != nil {
+		t.Fatal(err)
+	}
 	bprRecall := eval.Evaluate(d, bpr, 20).Recall
 
 	if ckatRecall <= bprRecall {

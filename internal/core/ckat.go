@@ -476,13 +476,6 @@ func (m *Model) Train(ctx context.Context, d *dataset.Dataset, cfg models.TrainC
 	return nil
 }
 
-// Fit implements the legacy models.Recommender contract.
-//
-// Deprecated: use Train.
-func (m *Model) Fit(d *dataset.Dataset, cfg models.TrainConfig) {
-	_ = m.Train(context.Background(), d, cfg)
-}
-
 // entIdx maps user/item indices to entity IDs.
 func entIdx(ents, idx []int) []int {
 	out := make([]int, len(idx))

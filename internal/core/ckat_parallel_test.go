@@ -11,15 +11,17 @@ import (
 
 // Workers<=1 takes the exact legacy sequential path: the same RNG
 // streams are consumed in the same order, so Train(workers=1) must
-// reproduce the deprecated Fit bit-for-bit.
+// reproduce the default Workers=0 run bit-for-bit.
 func TestCKATWorkersOneMatchesSequential(t *testing.T) {
 	d := modeltest.TinyDataset(t)
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 3
 
-	legacy := NewDefault()
-	legacy.Fit(d, cfg)
-	want := eval.Evaluate(d, legacy, 20)
+	seq := NewDefault()
+	if err := seq.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := eval.Evaluate(d, seq, 20)
 
 	cfg.Workers = 1
 	m := NewDefault()
@@ -27,7 +29,7 @@ func TestCKATWorkersOneMatchesSequential(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	if got := eval.Evaluate(d, m, 20); got != want {
-		t.Fatalf("workers=1 diverged from Fit: %+v vs %+v", got, want)
+		t.Fatalf("workers=1 diverged from workers=0: %+v vs %+v", got, want)
 	}
 }
 
@@ -108,7 +110,9 @@ func TestCKATRecomputeAttentionConcurrentScoring(t *testing.T) {
 	m := NewDefault()
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 1
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 
 	before := make([]float64, d.NumItems)
 	m.ScoreItems(0, before)

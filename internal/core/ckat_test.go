@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,7 +28,9 @@ func TestCKATAttentionNormalized(t *testing.T) {
 	m := NewDefault()
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 1
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 	adj, att := m.AttentionOn()
 	for h := 0; h < d.Graph.NumEntities(); h++ {
 		lo, hi := adj.Neighbors(h)
@@ -54,7 +57,9 @@ func TestCKATUniformAttentionWithoutAtt(t *testing.T) {
 	m := New(opts)
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 1
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 	adj, att := m.AttentionOn()
 	for h := 0; h < 50; h++ {
 		lo, hi := adj.Neighbors(h)
@@ -80,7 +85,9 @@ func TestCKATSumAggregatorTrains(t *testing.T) {
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 4
 	m := New(opts)
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 	got := eval.Evaluate(d, m, 20)
 	if got.Recall <= 0 {
 		t.Fatal("sum aggregator produced zero recall")
@@ -95,7 +102,9 @@ func TestCKATDepthVariants(t *testing.T) {
 		cfg := modeltest.QuickConfig()
 		cfg.Epochs = 2
 		m := New(opts)
-		m.Fit(d, cfg)
+		if err := m.Train(context.Background(), d, cfg); err != nil {
+			t.Fatal(err)
+		}
 		got := eval.Evaluate(d, m, 20)
 		if got.Recall <= 0 {
 			t.Fatalf("depth %d produced zero recall", len(layers))
@@ -118,7 +127,9 @@ func TestCKATSkipKGPhaseStillLearns(t *testing.T) {
 	m := New(opts)
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 4
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 	if got := eval.Evaluate(d, m, 20); got.Recall <= 0 {
 		t.Fatalf("ablated CKAT recall = %v", got.Recall)
 	}
@@ -129,11 +140,15 @@ func TestCKATParallelAttentionMatchesSerial(t *testing.T) {
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 2
 	par := NewDefault()
-	par.Fit(d, cfg)
+	if err := par.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 	serOpts := DefaultOptions()
 	serOpts.ParallelAttention = false
 	ser := New(serOpts)
-	ser.Fit(d, cfg)
+	if err := ser.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 	_, attPar := par.AttentionOn()
 	_, attSer := ser.AttentionOn()
 	if !attPar.Equal(attSer, 1e-12) {

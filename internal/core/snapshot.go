@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -39,10 +38,10 @@ type Snapshot struct {
 	CSRTails     []int
 }
 
-// Snapshot extracts the inference state. Only valid after Fit.
+// Snapshot extracts the inference state. Only valid after Train.
 func (m *Model) Snapshot(facility string) *Snapshot {
 	if m.final == nil {
-		panic("core: Snapshot before Fit")
+		panic("core: Snapshot before Train")
 	}
 	s := &Snapshot{
 		FacilityName: facility,
@@ -137,24 +136,20 @@ func (s *Snapshot) SaveFile(path string) error {
 	return ckpt.WriteFile(path, buf.Bytes())
 }
 
-// LoadSnapshotFile reads a snapshot from path. Files written by
-// SaveFile are checksum-verified through the ckpt framing; files from
-// the legacy raw-gob format (pre-framing Save to a file) still load.
+// LoadSnapshotFile reads a snapshot written by SaveFile, verifying the
+// ckpt framing's checksum before decoding. A file without the framing
+// (such as a raw gob stream from Save) fails with an error wrapping
+// ckpt.ErrBadMagic.
 func LoadSnapshotFile(path string) (*Snapshot, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: read snapshot: %w", err)
 	}
 	payload, err := ckpt.Decode(bytes.NewReader(raw))
-	switch {
-	case err == nil:
-		return LoadSnapshot(bytes.NewReader(payload))
-	case errors.Is(err, ckpt.ErrBadMagic):
-		// Legacy snapshot written as raw gob before the framed format.
-		return LoadSnapshot(bytes.NewReader(raw))
-	default:
+	if err != nil {
 		return nil, fmt.Errorf("core: snapshot %s: %w", path, err)
 	}
+	return LoadSnapshot(bytes.NewReader(payload))
 }
 
 // Scorer turns the snapshot into an eval.Scorer usable for serving.

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/models/modeltest"
 )
 
@@ -43,8 +46,9 @@ func TestSaveFileLoadSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
-// Legacy deployments wrote raw gob straight to disk; LoadSnapshotFile
-// must still read those files.
+// A raw gob stream written straight to disk (the pre-framing format)
+// carries no magic or checksum, so LoadSnapshotFile must refuse it
+// rather than decode unverified bytes.
 func TestLoadSnapshotFileLegacyRawGob(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.gob")
 	var buf bytes.Buffer
@@ -54,12 +58,8 @@ func TestLoadSnapshotFileLegacyRawGob(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSnapshotFile(path)
-	if err != nil {
-		t.Fatalf("LoadSnapshotFile(legacy): %v", err)
-	}
-	if got.FacilityName != "ooi" {
-		t.Fatalf("legacy load mangled snapshot: %+v", got)
+	if _, err := LoadSnapshotFile(path); !errors.Is(err, ckpt.ErrBadMagic) {
+		t.Fatalf("LoadSnapshotFile(raw gob) = %v, want ckpt.ErrBadMagic", err)
 	}
 }
 
@@ -126,7 +126,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 	m := NewDefault()
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 1
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		f.Fatal(err)
+	}
 	var trained bytes.Buffer
 	if err := m.Snapshot(d.Name).Save(&trained); err != nil {
 		f.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/eval"
@@ -13,7 +14,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	m := NewDefault()
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 3
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := m.Snapshot(d.Name).Save(&buf); err != nil {
@@ -55,7 +58,9 @@ func TestSnapshotCSRRoundTrip(t *testing.T) {
 	m := NewDefault()
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 1
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 
 	dir := t.TempDir()
 	path := dir + "/snap.ckpt"
@@ -105,7 +110,9 @@ func TestLoadSnapshotRejectsCorruptCSR(t *testing.T) {
 	m := NewDefault()
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 1
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 
 	corrupt := []func(s *Snapshot){
 		func(s *Snapshot) { s.CSRRels[0] = s.CSRRelations },               // relation out of range
@@ -137,7 +144,9 @@ func TestLoadSnapshotRejectsCorruptShape(t *testing.T) {
 	m := NewDefault()
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 1
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 	s := m.Snapshot(d.Name)
 	s.FinalRows++ // corrupt
 	var buf bytes.Buffer

@@ -13,8 +13,8 @@
 // neighbor samplers, the evaluation protocol, and the serving
 // process's /similar and /explain handlers concurrently.
 //
-// Edge ordering is identical to the historical kg.BuildAdjacency sort
-// (head, then relation, then tail, duplicates removed by the builder),
+// Edges are ordered by head, then relation, then tail (duplicates
+// removed by the builder), the order of the historical edge-list sort,
 // so code migrated from the edge-list era produces bit-identical
 // numerical results on the CSR (enforced by the repository's golden
 // tests).
@@ -22,7 +22,7 @@ package graph
 
 // Source is the minimal builder interface Freeze consumes. *kg.Graph
 // implements it; the indirection keeps this package free of kg imports
-// so kg can wrap the CSR without an import cycle.
+// so kg can consume CSRs and their paths without an import cycle.
 type Source interface {
 	// NumEntities returns the number of nodes; entity IDs are dense in
 	// [0, NumEntities).

@@ -104,30 +104,6 @@ func TestFreezeRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestFreezeMatchesLegacyAdjacency pins the layout contract that makes
-// the migration bit-exact: the frozen CSR arrays are identical to the
-// deprecated kg.BuildAdjacency edge-list sort.
-func TestFreezeMatchesLegacyAdjacency(t *testing.T) {
-	g := randomGraph(3, 30, 6, 160)
-	c := graph.Freeze(g)
-	adj := g.BuildAdjacency()
-	if c.NumEdges() != adj.NumEdges() {
-		t.Fatalf("edge count: csr %d, adjacency %d", c.NumEdges(), adj.NumEdges())
-	}
-	for i := 0; i < c.NumEdges(); i++ {
-		if c.Heads()[i] != adj.Heads[i] || c.Rels()[i] != adj.Rels[i] || c.Tails()[i] != adj.Tails[i] {
-			t.Fatalf("edge %d: csr (%d,%d,%d) != adjacency (%d,%d,%d)", i,
-				c.Heads()[i], c.Rels()[i], c.Tails()[i],
-				adj.Heads[i], adj.Rels[i], adj.Tails[i])
-		}
-	}
-	for h := 0; h <= g.NumEntities(); h++ {
-		if c.Offsets()[h] != adj.Offsets[h] {
-			t.Fatalf("offsets[%d]: csr %d != adjacency %d", h, c.Offsets()[h], adj.Offsets[h])
-		}
-	}
-}
-
 // TestNeighborViewsZeroAlloc is the acceptance gate for the hot path:
 // every per-node accessor must be allocation-free.
 func TestNeighborViewsZeroAlloc(t *testing.T) {

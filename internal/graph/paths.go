@@ -20,16 +20,10 @@ type PathFinder struct {
 	path                 Path
 }
 
-// NewPathFinder builds a finder over raw CSR arrays: offsets is len
-// N+1, rels/tails are the edge arrays it indexes. The kg package's
-// deprecated Adjacency wraps through this entry point.
-func NewPathFinder(offsets, rels, tails []int) *PathFinder {
-	return &PathFinder{offsets: offsets, rels: rels, tails: tails}
-}
-
-// PathFinder returns a finder with scratch sized for c.
+// PathFinder returns a finder over c's edges. Its scratch is sized on
+// the first search and reused by later ones.
 func (c *CSR) PathFinder() *PathFinder {
-	return NewPathFinder(c.offsets, c.rels, c.tails)
+	return &PathFinder{offsets: c.offsets, rels: c.rels, tails: c.tails}
 }
 
 // FindPaths enumerates up to maxPaths simple paths from src to dst of

@@ -7,11 +7,12 @@ import (
 	"repro/internal/kg"
 )
 
-// legacyFindPaths is a verbatim copy of the historical kg.FindPaths BFS
-// (per-state path copies and all), kept here as the reference the
-// scratch-reusing iterative-deepening implementation must match
-// path-for-path, in order.
-func legacyFindPaths(adj *kg.Adjacency, src, dst, maxLen, maxPaths int) []graph.Path {
+// legacyFindPaths is the historical BFS path enumeration (per-state
+// path copies and all), reading the CSR's raw arrays, kept here as the
+// reference the scratch-reusing iterative-deepening implementation must
+// match path-for-path, in order.
+func legacyFindPaths(c *graph.CSR, src, dst, maxLen, maxPaths int) []graph.Path {
+	offsets, rels, tails := c.Offsets(), c.Rels(), c.Tails()
 	type state struct {
 		node int
 		path graph.Path
@@ -24,9 +25,8 @@ func legacyFindPaths(adj *kg.Adjacency, src, dst, maxLen, maxPaths int) []graph.
 		if len(cur.path) >= maxLen {
 			continue
 		}
-		lo, hi := adj.Neighbors(cur.node)
-		for i := lo; i < hi && len(out) < maxPaths; i++ {
-			next := adj.Tails[i]
+		for i := offsets[cur.node]; i < offsets[cur.node+1] && len(out) < maxPaths; i++ {
+			next := tails[i]
 			visited := next == src
 			for _, st := range cur.path {
 				if st.Tail == next {
@@ -39,7 +39,7 @@ func legacyFindPaths(adj *kg.Adjacency, src, dst, maxLen, maxPaths int) []graph.
 			}
 			np := make(graph.Path, len(cur.path)+1)
 			copy(np, cur.path)
-			np[len(cur.path)] = graph.Step{Head: cur.node, Rel: adj.Rels[i], Tail: next}
+			np[len(cur.path)] = graph.Step{Head: cur.node, Rel: rels[i], Tail: next}
 			if next == dst {
 				out = append(out, np)
 				continue
@@ -75,14 +75,13 @@ func TestFindPathsMatchesLegacyBFS(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomGraph(seed, 14, 3, 60)
 		c := graph.Freeze(g)
-		adj := g.BuildAdjacency()
 		f := c.PathFinder()
 		n := c.NumEntities()
 		for src := 0; src < n; src += 3 {
 			for dst := 0; dst < n; dst += 4 {
 				for _, maxLen := range []int{1, 2, 4} {
 					for _, maxPaths := range []int{1, 3, 100} {
-						want := legacyFindPaths(adj, src, dst, maxLen, maxPaths)
+						want := legacyFindPaths(c, src, dst, maxLen, maxPaths)
 						got := f.FindPaths(src, dst, maxLen, maxPaths)
 						if !pathsEqual(got, want) {
 							t.Fatalf("seed %d src=%d dst=%d maxLen=%d maxPaths=%d:\n got %v\nwant %v",

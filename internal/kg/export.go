@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/graph"
 )
 
 // WriteDOT renders the graph (or a neighborhood of it) in Graphviz DOT
@@ -60,15 +62,14 @@ func (g *Graph) WriteDOT(w io.Writer, maxEdges int) error {
 // Neighborhood returns a new Graph containing all entities within
 // `hops` of center and every triple among them — the ego network used
 // to visualize one data object's knowledge context (Fig. 1).
-func (g *Graph) Neighborhood(adj *Adjacency, center, hops int) *Graph {
+// adj must be frozen from g (graph.Freeze).
+func (g *Graph) Neighborhood(adj *graph.CSR, center, hops int) *Graph {
 	inside := map[int]bool{center: true}
 	frontier := []int{center}
 	for h := 0; h < hops; h++ {
 		var next []int
 		for _, n := range frontier {
-			lo, hi := adj.Neighbors(n)
-			for i := lo; i < hi; i++ {
-				t := adj.Tails[i]
+			for _, t := range adj.NeighborTails(n) {
 				if !inside[t] {
 					inside[t] = true
 					next = append(next, t)

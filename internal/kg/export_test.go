@@ -3,6 +3,8 @@ package kg
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func TestWriteDOT(t *testing.T) {
@@ -41,7 +43,7 @@ func TestWriteDOTRespectsEdgeCap(t *testing.T) {
 
 func TestNeighborhood(t *testing.T) {
 	g := buildTiny(t)
-	adj := g.BuildAdjacency()
+	adj := graph.Freeze(g)
 	o1, _ := g.Entity(KindItem, "obj1")
 	// 1 hop from obj1: obj1 + Pressure.
 	ego := g.Neighborhood(adj, o1, 1)

@@ -4,14 +4,13 @@
 // whose edges are typed relations stored as (head, relation, tail)
 // triples. It provides entity/relation registries, inverse relations,
 // entity alignment for merging subgraphs into the collaborative
-// knowledge graph (CKG), a CSR adjacency for the GNN models, BFS path
-// enumeration (the "high-order connectivity" of §II-B), and the summary
-// statistics of Table I.
+// knowledge graph (CKG), rendering of the "high-order connectivity"
+// paths of §II-B, and the summary statistics of Table I. The frozen CSR
+// adjacency and the path search over it live in package graph.
 package kg
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -306,113 +305,8 @@ func (s Stats) String() string {
 		s.Entities, s.Relations, s.Triples, s.LinkAvg)
 }
 
-// Adjacency is the legacy CSR view of the graph: edges sorted by head
-// entity, with Offsets[h]..Offsets[h+1] delimiting the neighborhood of
-// head h.
-//
-// Deprecated: new code should freeze the graph into the immutable
-// graph.CSR core (graph.Freeze) and use its zero-copy views and
-// relation partitions directly; Adjacency remains as a thin field-level
-// view over the same frozen arrays for older call sites. See DESIGN.md
-// §9 for the migration path.
-type Adjacency struct {
-	Heads   []int // len E, sorted ascending
-	Rels    []int // len E
-	Tails   []int // len E
-	Offsets []int // len NumEntities+1
-
-	csr     *graph.CSR // the frozen core these slices alias
-	finders sync.Pool  // reusable *graph.PathFinder scratch for FindPaths
-}
-
-// BuildAdjacency constructs the CSR adjacency over all triples
-// (inverse directions included, so propagation flows both ways).
-//
-// Deprecated: use graph.Freeze(g) — BuildAdjacency now freezes the
-// same CSR and exposes its arrays, so edge ordering is unchanged
-// (head, then relation, then tail).
-func (g *Graph) BuildAdjacency() *Adjacency {
-	return WrapCSR(graph.Freeze(g))
-}
-
-// WrapCSR exposes a frozen CSR through the legacy Adjacency field
-// layout without copying; the slices alias the CSR's arrays and must
-// not be mutated.
-func WrapCSR(c *graph.CSR) *Adjacency {
-	return &Adjacency{
-		Heads:   c.Heads(),
-		Rels:    c.Rels(),
-		Tails:   c.Tails(),
-		Offsets: c.Offsets(),
-		csr:     c,
-	}
-}
-
-// CSR returns the frozen graph core backing this adjacency, or nil for
-// an Adjacency assembled by hand from raw slices.
-func (a *Adjacency) CSR() *graph.CSR { return a.csr }
-
-// Neighbors returns the edge index range of head h.
-func (a *Adjacency) Neighbors(h int) (lo, hi int) {
-	return a.Offsets[h], a.Offsets[h+1]
-}
-
-// NumEdges returns the number of directed edges.
-func (a *Adjacency) NumEdges() int { return len(a.Heads) }
-
-// Path is a sequence of triples connecting two entities.
-type Path []Triple
-
-// FindPaths enumerates up to maxPaths simple paths from src to dst of
-// length at most maxLen edges. It reproduces the "high-order
-// connectivity" examples of Fig. 1/2 (e.g. Object#1 → Pressure →
-// Physical → Density → Object#2). Output ordering is deterministic:
-// shortest paths first, and equal-length paths in lexicographic order
-// of the CSR's sorted (rel, tail) neighbor iteration — the exact
-// emission order of the historical BFS.
-//
-// Deprecated: use graph.CSR.FindPaths (or a reusable graph.PathFinder
-// in loops). This wrapper delegates to the same iterative-deepening
-// search, which reuses one visited bitmap and one working path for the
-// whole exploration instead of copying the partial path into every
-// frontier state. The finder itself is pooled per Adjacency, so
-// repeated calls (and concurrent ones) amortize the scratch and
-// allocations are bounded by the paths actually returned.
-func (g *Graph) FindPaths(adj *Adjacency, src, dst, maxLen, maxPaths int) []Path {
-	f, _ := adj.finders.Get().(*graph.PathFinder)
-	if f == nil {
-		f = graph.NewPathFinder(adj.Offsets, adj.Rels, adj.Tails)
-	}
-	gp := f.FindPaths(src, dst, maxLen, maxPaths)
-	adj.finders.Put(f)
-	if len(gp) == 0 {
-		return nil
-	}
-	out := make([]Path, len(gp))
-	for i, p := range gp {
-		q := make(Path, len(p))
-		for j, s := range p {
-			q[j] = Triple{Head: s.Head, Rel: s.Rel, Tail: s.Tail}
-		}
-		out[i] = q
-	}
-	return out
-}
-
-// FormatPath renders a path using entity and relation names.
-func (g *Graph) FormatPath(p Path) string {
-	if len(p) == 0 {
-		return ""
-	}
-	s := g.Entities[p[0].Head].Name
-	for _, tr := range p {
-		s += fmt.Sprintf(" -[%s]-> %s", g.Relations[tr.Rel].Name, g.Entities[tr.Tail].Name)
-	}
-	return s
-}
-
 // FormatSteps renders a CSR step path (graph.Path) using entity and
-// relation names, in the same arrow notation as FormatPath.
+// relation names in arrow notation: "head -[rel]-> tail -[rel]-> ...".
 func (g *Graph) FormatSteps(p graph.Path) string {
 	if len(p) == 0 {
 		return ""

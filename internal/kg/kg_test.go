@@ -3,6 +3,8 @@ package kg
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/graph"
 )
 
 func buildTiny(t *testing.T) *Graph {
@@ -239,22 +241,23 @@ func TestAddRelationEqualNamesIsSymmetric(t *testing.T) {
 
 func TestBuildAdjacencyCSRInvariants(t *testing.T) {
 	g := buildTiny(t)
-	adj := g.BuildAdjacency()
+	adj := graph.Freeze(g)
+	offsets, heads := adj.Offsets(), adj.Heads()
 	if adj.NumEdges() != g.NumTriples() {
 		t.Fatalf("edges %d != triples %d", adj.NumEdges(), g.NumTriples())
 	}
-	if len(adj.Offsets) != g.NumEntities()+1 {
+	if len(offsets) != g.NumEntities()+1 {
 		t.Fatal("offset length mismatch")
 	}
-	if adj.Offsets[0] != 0 || adj.Offsets[len(adj.Offsets)-1] != adj.NumEdges() {
+	if offsets[0] != 0 || offsets[len(offsets)-1] != adj.NumEdges() {
 		t.Fatal("offset boundary mismatch")
 	}
 	// Heads are sorted, and every edge inside a bucket has that head.
 	for h := 0; h < g.NumEntities(); h++ {
 		lo, hi := adj.Neighbors(h)
 		for i := lo; i < hi; i++ {
-			if adj.Heads[i] != h {
-				t.Fatalf("edge %d in bucket %d has head %d", i, h, adj.Heads[i])
+			if heads[i] != h {
+				t.Fatalf("edge %d in bucket %d has head %d", i, h, heads[i])
 			}
 		}
 	}
@@ -262,10 +265,9 @@ func TestBuildAdjacencyCSRInvariants(t *testing.T) {
 
 func TestFindPathsHighOrderConnectivity(t *testing.T) {
 	g := buildTiny(t)
-	adj := g.BuildAdjacency()
 	o1, _ := g.Entity(KindItem, "obj1")
 	o2, _ := g.Entity(KindItem, "obj2")
-	paths := g.FindPaths(adj, o1, o2, 4, 10)
+	paths := graph.Freeze(g).FindPaths(o1, o2, 4, 10)
 	if len(paths) == 0 {
 		t.Fatal("no path found between obj1 and obj2")
 	}
@@ -283,21 +285,21 @@ func TestFindPathsHighOrderConnectivity(t *testing.T) {
 	if !found {
 		t.Fatal("expected the 4-hop attribute path of Fig. 1")
 	}
-	s := g.FormatPath(paths[0])
+	s := g.FormatSteps(paths[0])
 	if s == "" {
-		t.Fatal("FormatPath returned empty string")
+		t.Fatal("FormatSteps returned empty string")
 	}
 }
 
 func TestFindPathsRespectsLimits(t *testing.T) {
 	g := buildTiny(t)
-	adj := g.BuildAdjacency()
+	adj := graph.Freeze(g)
 	o1, _ := g.Entity(KindItem, "obj1")
 	o2, _ := g.Entity(KindItem, "obj2")
-	if got := g.FindPaths(adj, o1, o2, 2, 10); len(got) != 0 {
+	if got := adj.FindPaths(o1, o2, 2, 10); len(got) != 0 {
 		t.Fatalf("maxLen 2 should yield no paths, got %d", len(got))
 	}
-	many := g.FindPaths(adj, o1, o2, 6, 1)
+	many := adj.FindPaths(o1, o2, 6, 1)
 	if len(many) > 1 {
 		t.Fatalf("maxPaths 1 exceeded: %d", len(many))
 	}
@@ -308,10 +310,10 @@ func TestFindPathsRespectsLimits(t *testing.T) {
 // Repeated calls must therefore return identical sequences.
 func TestFindPathsDeterministicOrdering(t *testing.T) {
 	g := buildTiny(t)
-	adj := g.BuildAdjacency()
+	f := graph.Freeze(g).PathFinder()
 	o1, _ := g.Entity(KindItem, "obj1")
 	o2, _ := g.Entity(KindItem, "obj2")
-	ref := g.FindPaths(adj, o1, o2, 6, 10)
+	ref := f.FindPaths(o1, o2, 6, 10)
 	if len(ref) == 0 {
 		t.Fatal("no paths found")
 	}
@@ -321,7 +323,7 @@ func TestFindPathsDeterministicOrdering(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 5; trial++ {
-		got := g.FindPaths(adj, o1, o2, 6, 10)
+		got := f.FindPaths(o1, o2, 6, 10)
 		if len(got) != len(ref) {
 			t.Fatalf("trial %d: %d paths, want %d", trial, len(got), len(ref))
 		}
@@ -339,17 +341,16 @@ func TestFindPathsDeterministicOrdering(t *testing.T) {
 	}
 }
 
-// The visited-state scratch is pooled on the Adjacency: after a warmup
-// call sizes the finder, a search that yields no paths must not
-// allocate at all.
+// A reused PathFinder keeps its visited-state scratch: after a warmup
+// call sizes it, a search that yields no paths must not allocate.
 func TestFindPathsBoundedAllocations(t *testing.T) {
 	g := buildTiny(t)
 	island := g.AddEntity(KindItem, "island") // no triples: unreachable
-	adj := g.BuildAdjacency()
+	f := graph.Freeze(g).PathFinder()
 	o1, _ := g.Entity(KindItem, "obj1")
-	g.FindPaths(adj, o1, island, 6, 10) // warmup: builds + pools the finder
+	f.FindPaths(o1, island, 6, 10) // warmup: sizes the scratch
 	allocs := testing.AllocsPerRun(50, func() {
-		if p := g.FindPaths(adj, o1, island, 6, 10); p != nil {
+		if p := f.FindPaths(o1, island, 6, 10); p != nil {
 			t.Fatal("unexpected path to isolated entity")
 		}
 	})
@@ -370,12 +371,13 @@ func TestAdjacencyProperty(t *testing.T) {
 			tl := g.AddEntity(KindDataType, string(rune('a'+raw[i+1]%26)))
 			g.AddTriple(h, r, tl)
 		}
-		adj := g.BuildAdjacency()
+		adj := graph.Freeze(g)
 		if adj.NumEdges() != g.NumTriples() {
 			return false
 		}
-		for i := 1; i < len(adj.Offsets); i++ {
-			if adj.Offsets[i] < adj.Offsets[i-1] {
+		offsets := adj.Offsets()
+		for i := 1; i < len(offsets); i++ {
+			if offsets[i] < offsets[i-1] {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -37,7 +38,7 @@ type SelfModel struct {
 // TrainSelfModel builds a compact OOI trace and trains the CKAT model
 // on it. users/epochs scale the fixture; zero values pick defaults
 // sized for sub-second training.
-func TrainSelfModel(seed int64, users, epochs int) *SelfModel {
+func TrainSelfModel(seed int64, users, epochs int) (*SelfModel, error) {
 	if epochs <= 0 {
 		epochs = 2
 	}
@@ -48,9 +49,11 @@ func TrainSelfModel(seed int64, users, epochs int) *SelfModel {
 	tc.Epochs = epochs
 	tc.EmbedDim = 16
 	tc.Seed = seed
-	m.Fit(d, tc)
+	if err := m.Train(context.Background(), d, tc); err != nil {
+		return nil, err
+	}
 	sm.Model = m
-	return sm
+	return sm, nil
 }
 
 // TraceOnly builds the workload trace and its dataset split, skipping

@@ -14,9 +14,18 @@ import (
 )
 
 // selfModelOnce trains the shared tiny model once per test binary.
-var selfModelOnce = sync.OnceValue(func() *SelfModel {
+var selfModelOnce = sync.OnceValues(func() (*SelfModel, error) {
 	return TrainSelfModel(11, 50, 2)
 })
+
+func selfModel(t *testing.T) *SelfModel {
+	t.Helper()
+	sm, err := selfModelOnce()
+	if err != nil {
+		t.Fatalf("self model: %v", err)
+	}
+	return sm
+}
 
 func TestParseMix(t *testing.T) {
 	m, err := ParseMix("recommend=3,similar=1")
@@ -108,7 +117,7 @@ func TestSummaryKnee(t *testing.T) {
 // the client saw is a shed the server counted, and hard errors are
 // zero on both sides — and the /v1/stats SLO block must be present.
 func TestLoadgenSmoke(t *testing.T) {
-	sm := selfModelOnce()
+	sm := selfModel(t)
 	tp, err := StartTopology("1shard", sm, "")
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +193,7 @@ func TestLoadgenSmoke(t *testing.T) {
 // The ingest op commits through the ledger-enabled backend and the
 // ack arrives with a chain hash.
 func TestLoadgenIngestOp(t *testing.T) {
-	sm := selfModelOnce()
+	sm := selfModel(t)
 	tp, err := StartTopology("1shard", sm, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +217,7 @@ func TestLoadgenIngestOp(t *testing.T) {
 // The router topology serves the full mix and its scrape list reaches
 // both the router and the backends.
 func TestRouterTopologySweep(t *testing.T) {
-	sm := selfModelOnce()
+	sm := selfModel(t)
 	tp, err := StartTopology("router2", sm, "")
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +265,7 @@ func TestRouterTopologySweep(t *testing.T) {
 
 // A sharded topology boots and answers.
 func TestShardedTopology(t *testing.T) {
-	sm := selfModelOnce()
+	sm := selfModel(t)
 	tp, err := StartTopology("2shard", sm, "")
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +283,7 @@ func TestShardedTopology(t *testing.T) {
 // serve.Option passthrough: a tiny inflight cap forces sheds, and the
 // client/server shed accounting still agrees exactly.
 func TestShedAccountingUnderOverload(t *testing.T) {
-	sm := selfModelOnce()
+	sm := selfModel(t)
 	tp, err := StartTopology("1shard", sm, "", serve.WithMaxInflight(1))
 	if err != nil {
 		t.Fatal(err)

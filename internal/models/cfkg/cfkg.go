@@ -74,13 +74,6 @@ func (m *Model) Train(ctx context.Context, d *dataset.Dataset, cfg models.TrainC
 	})
 }
 
-// Fit implements the legacy models.Recommender contract.
-//
-// Deprecated: use Train.
-func (m *Model) Fit(d *dataset.Dataset, cfg models.TrainConfig) {
-	_ = m.Train(context.Background(), d, cfg)
-}
-
 // ScoreItems implements eval.Scorer: −‖e_u + r_interact − e_v‖².
 func (m *Model) ScoreItems(user int, out []float64) {
 	u := m.transe.Ent.Value.Row(m.userEnt[user])

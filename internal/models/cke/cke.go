@@ -70,13 +70,6 @@ func (m *Model) Train(ctx context.Context, d *dataset.Dataset, cfg models.TrainC
 	})
 }
 
-// Fit implements the legacy models.Recommender contract.
-//
-// Deprecated: use Train.
-func (m *Model) Fit(d *dataset.Dataset, cfg models.TrainConfig) {
-	_ = m.Train(context.Background(), d, cfg)
-}
-
 // entIdx maps item indices to their CKG entity IDs.
 func entIdx(itemEnt, items []int) []int {
 	out := make([]int, len(items))

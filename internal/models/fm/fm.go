@@ -104,13 +104,6 @@ func (m *Model) Train(ctx context.Context, d *dataset.Dataset, cfg models.TrainC
 	return nil
 }
 
-// Fit implements the legacy models.Recommender contract.
-//
-// Deprecated: use Train.
-func (m *Model) Fit(d *dataset.Dataset, cfg models.TrainConfig) {
-	_ = m.Train(context.Background(), d, cfg)
-}
-
 // buildInferenceCache precomputes the per-item feature aggregates so
 // ScoreItems is a cheap per-user sweep.
 func (m *Model) buildInferenceCache() {

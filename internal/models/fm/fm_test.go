@@ -1,6 +1,7 @@
 package fm
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/models"
@@ -26,7 +27,9 @@ func TestFMInferenceMatchesTrainingGraph(t *testing.T) {
 	m := New()
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 1
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 	out := make([]float64, d.NumItems)
 	m.ScoreItems(3, out)
 	// Recompute one score through the autograd path.

@@ -194,13 +194,6 @@ func (m *Model) Train(ctx context.Context, d *dataset.Dataset, cfg models.TrainC
 	return nil
 }
 
-// Fit implements the legacy models.Recommender contract.
-//
-// Deprecated: use Train.
-func (m *Model) Fit(d *dataset.Dataset, cfg models.TrainConfig) {
-	_ = m.Train(context.Background(), d, cfg)
-}
-
 // buildEvalCache precomputes the user-independent parts of inference:
 // the full-catalog frontier expansion and its raw embeddings.
 func (m *Model) buildEvalCache() {

@@ -1,6 +1,7 @@
 package kgcn
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/models"
@@ -25,7 +26,9 @@ func TestKGCNNeighborhoodsExcludeUsers(t *testing.T) {
 	m := New()
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 1
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 	isUser := map[int]bool{}
 	for _, e := range d.UserEnt {
 		isUser[e] = true

@@ -29,22 +29,6 @@ type Trainer interface {
 	Train(ctx context.Context, d *dataset.Dataset, cfg TrainConfig) error
 }
 
-// Recommender is the legacy training contract.
-//
-// Deprecated: use Trainer. Fit is Train with context.Background() and a
-// discarded error; it is kept for one release so downstream callers
-// migrate at their own pace.
-type Recommender interface {
-	eval.Scorer
-	// Name returns the model's Table II row label.
-	Name() string
-	// Fit trains the model on d. Implementations must be deterministic
-	// given cfg.Seed.
-	//
-	// Deprecated: use Trainer.Train.
-	Fit(d *dataset.Dataset, cfg TrainConfig)
-}
-
 // ProgressEvent reports one completed training epoch to the
 // TrainConfig.Progress callback.
 type ProgressEvent struct {

@@ -116,13 +116,6 @@ func (m *Model) Train(ctx context.Context, d *dataset.Dataset, cfg models.TrainC
 	return nil
 }
 
-// Fit implements the legacy models.Recommender contract.
-//
-// Deprecated: use Train.
-func (m *Model) Fit(d *dataset.Dataset, cfg models.TrainConfig) {
-	_ = m.Train(context.Background(), d, cfg)
-}
-
 func (m *Model) buildInferenceCache() {
 	m.itemVSum = tensor.New(m.nIt, m.dim)
 	m.itemVSqSum = tensor.New(m.nIt, m.dim)

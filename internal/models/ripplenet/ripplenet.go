@@ -223,13 +223,6 @@ func (m *Model) Train(ctx context.Context, d *dataset.Dataset, cfg models.TrainC
 	})
 }
 
-// Fit implements the legacy models.Recommender contract.
-//
-// Deprecated: use Train.
-func (m *Model) Fit(d *dataset.Dataset, cfg models.TrainConfig) {
-	_ = m.Train(context.Background(), d, cfg)
-}
-
 // ScoreItems implements eval.Scorer: for one user, score every item
 // with two dense products per hop.
 func (m *Model) ScoreItems(user int, out []float64) {

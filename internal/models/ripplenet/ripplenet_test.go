@@ -1,6 +1,7 @@
 package ripplenet
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/models"
@@ -25,7 +26,9 @@ func TestRippleSetsStayOffUsers(t *testing.T) {
 	m := New()
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 1
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 	isUser := map[int]bool{}
 	for _, e := range d.UserEnt {
 		isUser[e] = true
@@ -46,7 +49,9 @@ func TestRippleSetsSeededByHistory(t *testing.T) {
 	m := New()
 	cfg := modeltest.QuickConfig()
 	cfg.Epochs = 1
-	m.Fit(d, cfg)
+	if err := m.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
 	// hop-0 heads must come from the user's training items.
 	for u := 0; u < d.NumUsers && u < 20; u++ {
 		if len(d.TrainByUser[u]) == 0 {

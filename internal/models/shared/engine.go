@@ -20,7 +20,7 @@
 //
 // With W <= 1 the engine degenerates to the historical sequential loop:
 // batches run inline against the canonical parameters, consuming the
-// same single RNG streams the pre-engine Fit loops consumed, so results
+// same single RNG streams the pre-engine training loops consumed, so results
 // are bit-for-bit identical to the sequential implementation.
 //
 // # RNG discipline
@@ -164,7 +164,7 @@ type Spec struct {
 	// mode. Models pass a dedicated split of their root stream.
 	Base *rng.RNG
 	// Neg supplies sequential-mode negatives: one stream consumed in
-	// batch order across all epochs, matching the legacy Fit loops.
+	// batch order across all epochs, matching the pre-engine training loops.
 	Neg *dataset.NegSampler
 	// Streams holds the sequential-mode named RNG streams (e.g.
 	// "dropout"), resolved by BatchCtx.RNG.

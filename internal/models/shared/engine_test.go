@@ -14,14 +14,16 @@ import (
 
 // The engine's central determinism contract: workers <= 1 must follow
 // the historical sequential code path exactly, so Train with Workers 0
-// and Workers 1 and the deprecated Fit all land on identical metrics.
+// (the default) and Workers 1 land on identical metrics, run after run.
 func TestSequentialWorkersMatchFit(t *testing.T) {
 	d := modeltest.TinyDataset(t)
 	cfg := modeltest.QuickConfig()
 
-	legacy := bprmf.New()
-	legacy.Fit(d, cfg)
-	mLegacy := eval.Evaluate(d, legacy, 20)
+	seq := bprmf.New()
+	if err := seq.Train(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := eval.Evaluate(d, seq, 20)
 
 	for _, workers := range []int{0, 1} {
 		c := cfg
@@ -30,9 +32,9 @@ func TestSequentialWorkersMatchFit(t *testing.T) {
 		if err := m.Train(context.Background(), d, c); err != nil {
 			t.Fatalf("Train(workers=%d): %v", workers, err)
 		}
-		if got := eval.Evaluate(d, m, 20); got != mLegacy {
+		if got := eval.Evaluate(d, m, 20); got != want {
 			t.Fatalf("workers=%d diverged from sequential: %+v vs %+v",
-				workers, got, mLegacy)
+				workers, got, want)
 		}
 	}
 }

@@ -34,15 +34,9 @@ type routerMetrics struct {
 	inflight *obs.Gauge        // router_inflight_requests
 }
 
-// statusClasses indexes status/100; slot 0 is the "other" class.
-var statusClasses = [...]string{"", "1xx", "2xx", "3xx", "4xx", "5xx"}
-
 // backendErrClass is the backend-outcome class for transport-level
 // failures (connection refused, reset) where no status ever arrived.
 const backendErrClass = "error"
-
-// otherEndpoint is the cardinality bucket for unregistered paths.
-const otherEndpoint = "other"
 
 func newRouterMetrics(numBackends int) *routerMetrics {
 	reg := obs.NewRegistry()
@@ -77,37 +71,27 @@ func newRouterMetrics(numBackends int) *routerMetrics {
 func (m *routerMetrics) prime(routes map[string]bool, numBackends int) {
 	add := func(ep string) {
 		m.latency.With(ep)
-		for c := 1; c < len(statusClasses); c++ {
-			m.requests.With(ep, statusClasses[c])
+		for _, class := range obs.StatusClasses {
+			m.requests.With(ep, class)
 		}
-		m.requests.With(ep, otherEndpoint)
 	}
 	for ep := range routes {
 		add(ep)
 	}
-	add(otherEndpoint)
+	add(obs.OtherLabel)
 	for b := 0; b < numBackends; b++ {
 		idx := strconv.Itoa(b)
-		for c := 2; c < len(statusClasses); c++ {
-			m.backend.With(idx, statusClasses[c])
+		for _, class := range obs.StatusClasses[2:] {
+			m.backend.With(idx, class)
 		}
 		m.backend.With(idx, backendErrClass)
 	}
 }
 
-// classOf maps a status code onto the bounded class label set.
-func classOf(status int) string {
-	c := status / 100
-	if c < 1 || c >= len(statusClasses) {
-		return otherEndpoint
-	}
-	return statusClasses[c]
-}
-
 // observeBackend records one backend exchange outcome. A transport
 // failure (err != nil, no response) lands in the "error" class.
 func (m *routerMetrics) observeBackend(idx int, status int, transportErr bool) {
-	class := classOf(status)
+	class := obs.StatusClass(status)
 	if transportErr {
 		class = backendErrClass
 	}
@@ -120,30 +104,7 @@ func (rt *Router) normalizeEndpoint(path string) string {
 	if rt.routes[path] {
 		return path
 	}
-	return otherEndpoint
-}
-
-// statusRecorder captures the response status for metrics and spans.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if !sr.wrote {
-		sr.status = code
-		sr.wrote = true
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	if !sr.wrote {
-		sr.status = http.StatusOK
-		sr.wrote = true
-	}
-	return sr.ResponseWriter.Write(b)
+	return obs.OtherLabel
 }
 
 // observe is the router's outermost middleware: it adopts a propagated
@@ -163,11 +124,11 @@ func (rt *Router) observe(next http.Handler) http.Handler {
 		rt.metrics.inflight.Inc()
 		defer rt.metrics.inflight.Dec()
 		defer sp.End()
-		rec := statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := obs.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(&rec, r)
-		sp.SetAttrInt("status", rec.status)
-		rt.metrics.requests.With(endpoint, classOf(rec.status)).Inc()
+		sp.SetAttrInt("status", rec.Status)
+		rt.metrics.requests.With(endpoint, obs.StatusClass(rec.Status)).Inc()
 		rt.metrics.latency.With(endpoint).Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
 	})
 }

@@ -248,7 +248,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 		endpoints[ep] = true
 	}
 	classes := map[string]bool{"error": true, "other": true}
-	for _, c := range statusClasses[1:] {
+	for _, c := range obs.StatusClasses[1:] {
 		classes[c] = true
 	}
 	backends := map[string]bool{"0": true, "1": true}

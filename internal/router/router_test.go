@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -34,7 +35,9 @@ var testModelOnce = sync.OnceValues(func() (*dataset.Dataset, *core.Model) {
 	tc := models.DefaultTrainConfig()
 	tc.Epochs = 2
 	tc.EmbedDim = 16
-	m.Fit(d, tc)
+	if err := m.Train(context.Background(), d, tc); err != nil {
+		panic(err)
+	}
 	return d, m
 })
 

@@ -51,13 +51,13 @@ func TestMetricLabelCardinalityBounded(t *testing.T) {
 	drive(0)
 
 	// Fixed allowed sets, derived from configuration only.
-	endpoints := map[string]bool{otherEndpoint: true}
+	endpoints := map[string]bool{obs.OtherLabel: true}
 	for ep := range s.routes {
 		endpoints[ep] = true
 	}
 	classes := map[string]bool{
 		"1xx": true, "2xx": true, "3xx": true, "4xx": true, "5xx": true,
-		otherEndpoint: true,
+		obs.OtherLabel: true,
 	}
 	shardIDs := map[string]bool{}
 	for i := 0; i < shards; i++ {

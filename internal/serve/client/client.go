@@ -27,7 +27,6 @@ type Client struct {
 	hc          *http.Client
 	retryOnShed bool
 	mode        string
-	ef          int
 }
 
 // Option customizes a Client.
@@ -49,10 +48,6 @@ func WithRetryOnShed() Option { return func(c *Client) { c.retryOnShed = true } 
 // per-endpoint default in force (exact for recommend/similar, ann for
 // the query endpoints).
 func WithMode(mode string) Option { return func(c *Client) { c.mode = mode } }
-
-// WithEF stamps an ann search-breadth override (the "ef" parameter) on
-// every ranking request; zero leaves the server default.
-func WithEF(ef int) Option { return func(c *Client) { c.ef = ef } }
 
 // New builds a client for the API at base, e.g. "http://localhost:8080".
 func New(base string, opts ...Option) *Client {
@@ -117,14 +112,11 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 	return out, err
 }
 
-// rankValues applies the client-wide mode/ef overrides to a ranking
+// rankValues applies the client-wide mode override to a ranking
 // request's query parameters.
 func (c *Client) rankValues(q url.Values) url.Values {
 	if c.mode != "" {
 		q.Set("mode", c.mode)
-	}
-	if c.ef > 0 {
-		q.Set("ef", strconv.Itoa(c.ef))
 	}
 	return q
 }

@@ -32,7 +32,9 @@ func testAPI(t *testing.T) (*Client, *dataset.Dataset) {
 	tc := models.DefaultTrainConfig()
 	tc.Epochs = 2
 	tc.EmbedDim = 16
-	m.Fit(d, tc)
+	if err := m.Train(context.Background(), d, tc); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(serve.New(d, m))
 	t.Cleanup(srv.Close)
 	return New(srv.URL, WithHTTPClient(srv.Client())), d

@@ -217,6 +217,5 @@ func (s *Server) shed(next http.Handler) http.Handler {
 const retryAfterSeconds = 1
 
 func isHealthPath(p string) bool {
-	return p == "/v1/health" || p == "/v1/health/live" || p == "/v1/health/ready" ||
-		p == "/health"
+	return p == "/v1/health" || p == "/v1/health/live" || p == "/v1/health/ready"
 }

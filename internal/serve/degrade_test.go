@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/eval"
+	"repro/internal/shard"
 )
 
 // stubScorer gives every item a fixed score from a vector, so tests
@@ -240,13 +241,13 @@ func TestLoadSheddingAtInflightCap(t *testing.T) {
 }
 
 // An in-flight cache fill that started before an Invalidate must not
-// be inserted afterward (the generation check in scoreCache): the
+// be inserted afterward (the generation check in shard.ScoreCache): the
 // racing fill's vector may predate a model hot swap.
 func TestCacheGenerationDiscardsRacingFill(t *testing.T) {
 	var calls atomic.Int32
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	c := newScoreCache(4, 3, func(_ context.Context, _ int, out []float64) {
+	c := shard.NewScoreCache(4, 3, func(_ context.Context, _ int, out []float64) {
 		n := calls.Add(1)
 		if n == 1 {
 			close(entered)

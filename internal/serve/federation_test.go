@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -48,7 +49,10 @@ func federatedServer(t testing.TB, opts ...Option) (*Server, *dataset.Federated)
 		tc := models.DefaultTrainConfig()
 		tc.Epochs = 3
 		tc.EmbedDim = 16
-		m.Fit(fed.Dataset, tc)
+		if err := m.Train(context.Background(), fed.Dataset, tc); err != nil {
+			fedModelOnce.err = err
+			return
+		}
 		fedModelOnce.fed, fedModelOnce.m = fed, m
 	})
 	if fedModelOnce.err != nil {

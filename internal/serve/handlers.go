@@ -157,13 +157,6 @@ func rankingInfo(in shard.RankInfo) api.RankingInfo {
 	return api.RankingInfo{Mode: in.Mode, EF: in.EF, Fallback: in.Fallback}
 }
 
-// Recommendation and ExplainPath remain exported from serve for
-// back-compat; they are the shared wire types.
-type (
-	Recommendation = api.Recommendation
-	ExplainPath    = api.ExplainPath
-)
-
 // render decorates an aligned ranking with catalog metadata.
 func (s *Server) render(rk shard.Ranked, scale float64) []api.Recommendation {
 	cat := s.d.Trace.Facility
@@ -288,20 +281,20 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// probeUsers selects up to maxProbes training users of an item,
+// probeUsers selects up to DefaultMaxProbes training users of an item,
 // deterministically spread across the full matching set with a
 // rotation seeded by the item ID — replacing the old scan that always
 // took the 16 lowest user IDs and so biased every /similar answer
 // toward early users.
 func (s *Server) probeUsers(item int) []int {
 	m := s.usersByItem[item]
-	if len(m) <= s.maxProbes {
+	if len(m) <= DefaultMaxProbes {
 		return m
 	}
-	probes := make([]int, s.maxProbes)
+	probes := make([]int, DefaultMaxProbes)
 	start := item % len(m)
 	for j := range probes {
-		probes[j] = m[(start+j*len(m)/s.maxProbes)%len(m)]
+		probes[j] = m[(start+j*len(m)/DefaultMaxProbes)%len(m)]
 	}
 	return probes
 }

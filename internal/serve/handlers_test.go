@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/facility"
 	"repro/internal/models"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -21,8 +23,9 @@ import (
 // and metrics accounting start from zero.
 var testModelOnce struct {
 	sync.Once
-	d *dataset.Dataset
-	m *core.Model
+	d   *dataset.Dataset
+	m   *core.Model
+	err error
 }
 
 func testServer(t testing.TB, opts ...Option) (*Server, *dataset.Dataset) {
@@ -39,8 +42,11 @@ func testServer(t testing.TB, opts ...Option) (*Server, *dataset.Dataset) {
 		tc := models.DefaultTrainConfig()
 		tc.Epochs = 3
 		tc.EmbedDim = 16
-		testModelOnce.m.Fit(testModelOnce.d, tc)
+		testModelOnce.err = testModelOnce.m.Train(context.Background(), testModelOnce.d, tc)
 	})
+	if testModelOnce.err != nil {
+		t.Fatalf("test model: %v", testModelOnce.err)
+	}
 	return New(testModelOnce.d, testModelOnce.m, opts...), testModelOnce.d
 }
 
@@ -84,6 +90,8 @@ func envelopeCode(t *testing.T, body map[string]any) (code string, status float6
 // TestRoutesAndEnvelope is the table-driven contract test for the /v1
 // surface: success statuses, the uniform error envelope with its
 // bad_param/not_found distinction, and enveloped 404/405 fallbacks.
+// Unversioned paths are not routes: they answer 404 and are counted
+// under the "other" endpoint label, never under their own.
 func TestRoutesAndEnvelope(t *testing.T) {
 	s, _ := testServer(t)
 	cases := []struct {
@@ -108,6 +116,10 @@ func TestRoutesAndEnvelope(t *testing.T) {
 		{"stats ok", "GET", "/v1/stats", "", 200, ""},
 		{"unknown route", "GET", "/v1/nope", "", 404, "not_found"},
 		{"root route", "GET", "/does-not-exist", "", 404, "not_found"},
+		{"unversioned health", "GET", "/health", "", 404, "not_found"},
+		{"unversioned recommend", "GET", "/recommend?user=1&k=3", "", 404, "not_found"},
+		{"unversioned similar", "GET", "/similar?item=2", "", 404, "not_found"},
+		{"unversioned explain", "GET", "/explain?user=1&item=2", "", 404, "not_found"},
 		{"batch ok", "POST", "/v1/recommend:batch", `{"users":[1,2,3],"k":4}`, 200, ""},
 		{"batch wrong method", "GET", "/v1/recommend:batch", "", 405, "method_not_allowed"},
 		{"batch bad json", "POST", "/v1/recommend:batch", `{"users":`, 400, "bad_param"},
@@ -132,25 +144,10 @@ func TestRoutesAndEnvelope(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestLegacyRedirects(t *testing.T) {
-	s, _ := testServer(t)
-	cases := []struct{ path, want string }{
-		{"/health", "/v1/health"},
-		{"/recommend?user=1&k=3", "/v1/recommend?user=1&k=3"},
-		{"/similar?item=2", "/v1/similar?item=2"},
-		{"/explain?user=1&item=2", "/v1/explain?user=1&item=2"},
-	}
-	for _, tc := range cases {
-		req := httptest.NewRequest(http.MethodGet, tc.path, nil)
-		rr := httptest.NewRecorder()
-		s.ServeHTTP(rr, req)
-		if rr.Code != http.StatusPermanentRedirect {
-			t.Fatalf("%s: status %d, want 308", tc.path, rr.Code)
-		}
-		if loc := rr.Header().Get("Location"); loc != tc.want {
-			t.Fatalf("%s: Location %q, want %q", tc.path, loc, tc.want)
+	_, stats := get(t, s, "/v1/stats")
+	for ep := range stats["endpoints"].(map[string]any) {
+		if ep != obs.OtherLabel && ep != "/metrics" && !strings.HasPrefix(ep, "/v1/") {
+			t.Errorf("/v1/stats endpoints has unversioned key %q", ep)
 		}
 	}
 }
@@ -201,7 +198,7 @@ func TestRecommendCachedMatchesUncached(t *testing.T) {
 	if rr1.Body.String() != rr2.Body.String() {
 		t.Fatalf("cached response differs:\n%s\nvs\n%s", rr1.Body, rr2.Body)
 	}
-	hits, _, _ := s.cache.Stats()
+	hits, _, _ := s.disp.CacheStats()
 	if hits == 0 {
 		t.Fatal("second identical request did not hit the cache")
 	}
@@ -244,14 +241,14 @@ func TestProbeSpread(t *testing.T) {
 	if bestLen <= 2 {
 		t.Skip("no item with enough training users")
 	}
-	if bestLen > s.maxProbes {
+	if bestLen > DefaultMaxProbes {
 		probes := s.probeUsers(best)
-		if len(probes) != s.maxProbes {
-			t.Fatalf("got %d probes, want %d", len(probes), s.maxProbes)
+		if len(probes) != DefaultMaxProbes {
+			t.Fatalf("got %d probes, want %d", len(probes), DefaultMaxProbes)
 		}
 		// The old code always returned the lowest user IDs; the fix
 		// must reach past that prefix.
-		low := append([]int(nil), s.usersByItem[best][:s.maxProbes]...)
+		low := append([]int(nil), s.usersByItem[best][:DefaultMaxProbes]...)
 		same := true
 		for i, p := range probes {
 			if p != low[i] {

@@ -49,14 +49,11 @@ type serveMetrics struct {
 }
 
 // endpointInstruments are one endpoint's pre-resolved children:
-// classes is indexed by status/100 (slot 0 = the "other" class).
+// classes is indexed like obs.StatusClasses.
 type endpointInstruments struct {
-	classes [len(statusClasses)]*obs.Counter
+	classes [len(obs.StatusClasses)]*obs.Counter
 	latency *obs.Histogram
 }
-
-// otherEndpoint is the cardinality bucket for unregistered paths.
-const otherEndpoint = "other"
 
 // newServeMetrics registers the serving instruments on a fresh
 // registry. The cache, readiness, and uptime families are func-backed:
@@ -98,13 +95,13 @@ func newServeMetrics(s *Server) *serveMetrics {
 		})
 	reg.NewCounterFunc("serve_cache_hits_total",
 		"Score-vector cache hits.",
-		func() float64 { hits, _, _ := s.cache.Stats(); return float64(hits) })
+		func() float64 { hits, _, _ := s.disp.CacheStats(); return float64(hits) })
 	reg.NewCounterFunc("serve_cache_misses_total",
 		"Score-vector cache misses.",
-		func() float64 { _, misses, _ := s.cache.Stats(); return float64(misses) })
+		func() float64 { _, misses, _ := s.disp.CacheStats(); return float64(misses) })
 	reg.NewGaugeFunc("serve_cache_entries",
 		"Score-vector cache entries currently resident.",
-		func() float64 { _, _, entries := s.cache.Stats(); return float64(entries) })
+		func() float64 { _, _, entries := s.disp.CacheStats(); return float64(entries) })
 	reg.NewGaugeFunc("serve_cache_capacity",
 		"Score-vector cache capacity.",
 		func() float64 { return float64(s.cacheSize) })
@@ -119,16 +116,15 @@ func (m *serveMetrics) prime(endpoints map[string]bool) {
 	m.hot = make(map[string]*endpointInstruments, len(endpoints)+1)
 	add := func(ep string) {
 		ei := &endpointInstruments{latency: m.latency.With(ep)}
-		ei.classes[0] = m.requests.With(ep, "other")
-		for c := 1; c < len(statusClasses); c++ {
-			ei.classes[c] = m.requests.With(ep, statusClasses[c])
+		for c, class := range obs.StatusClasses {
+			ei.classes[c] = m.requests.With(ep, class)
 		}
 		m.hot[ep] = ei
 	}
 	for ep := range endpoints {
 		add(ep)
 	}
-	add(otherEndpoint)
+	add(obs.OtherLabel)
 }
 
 // initSLOs builds one monitor per declared objective over the primed
@@ -234,25 +230,16 @@ func (m *serveMetrics) evalSLOs() []api.SLOStats {
 
 // observe records one completed request under the normalized endpoint.
 func (m *serveMetrics) observe(endpoint string, status int, d time.Duration) {
-	c := status / 100
-	if c < 1 || c >= len(statusClasses) {
-		c = 0
-	}
+	c := obs.StatusClassIndex(status)
 	ms := float64(d.Nanoseconds()) / 1e6
 	if ei, ok := m.hot[endpoint]; ok {
 		ei.classes[c].Inc()
 		ei.latency.Observe(ms)
 		return
 	}
-	class := "other"
-	if c != 0 {
-		class = statusClasses[c]
-	}
-	m.requests.With(endpoint, class).Inc()
+	m.requests.With(endpoint, obs.StatusClasses[c]).Inc()
 	m.latency.With(endpoint).Observe(ms)
 }
-
-var statusClasses = [...]string{"", "1xx", "2xx", "3xx", "4xx", "5xx"}
 
 // normalizeEndpoint maps a request path onto the bounded endpoint
 // label set: a registered route keeps its path, everything else —
@@ -262,27 +249,18 @@ func (s *Server) normalizeEndpoint(path string) string {
 	if s.routes[path] {
 		return path
 	}
-	return otherEndpoint
+	return obs.OtherLabel
 }
-
-// The /v1/stats shapes are the shared wire types from
-// internal/serve/api; the historical snapshot names stay as aliases
-// for in-package and embedding callers.
-type (
-	EndpointSnapshot = api.EndpointStats
-	CacheSnapshot    = api.CacheStats
-	StatsSnapshot    = api.Stats
-)
 
 // statsSnapshot assembles the /v1/stats payload as a read over the
 // registry, keeping the pre-registry JSON schema byte-compatible.
-func (s *Server) statsSnapshot() StatsSnapshot {
-	hits, misses, entries := s.cache.Stats()
+func (s *Server) statsSnapshot() api.Stats {
+	hits, misses, entries := s.disp.CacheStats()
 	var rate float64
 	if hits+misses > 0 {
 		rate = float64(hits) / float64(hits+misses)
 	}
-	eps := make(map[string]EndpointSnapshot)
+	eps := make(map[string]api.EndpointStats)
 	s.metrics.requests.Each(func(lv []string, c *obs.Counter) {
 		endpoint, class := lv[0], lv[1]
 		ep := eps[endpoint]
@@ -320,7 +298,7 @@ func (s *Server) statsSnapshot() StatsSnapshot {
 			}
 		}
 	}
-	return StatsSnapshot{
+	return api.Stats{
 		Facility:   s.d.Name,
 		Facilities: facilities,
 		UptimeMS:   float64(time.Since(s.metrics.start).Nanoseconds()) / 1e6,
@@ -332,7 +310,7 @@ func (s *Server) statsSnapshot() StatsSnapshot {
 		ReloadErr:  uint64(s.metrics.reloadFailures.Value()),
 		Limits:     s.limits,
 		SLO:        s.metrics.evalSLOs(),
-		Cache: CacheSnapshot{
+		Cache: api.CacheStats{
 			Hits: hits, Misses: misses, HitRate: rate,
 			Entries: entries, Cap: s.cacheSize,
 		},

@@ -75,44 +75,21 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		s.metrics.inflight.Inc()
 		defer s.metrics.inflight.Dec()
 		defer sp.End() // idempotent; commits even on an aborting panic
-		rec := statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := obs.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(&rec, r)
 		elapsed := time.Since(start)
-		sp.SetAttrInt("status", rec.status)
-		s.metrics.observe(endpoint, rec.status, elapsed)
+		sp.SetAttrInt("status", rec.Status)
+		s.metrics.observe(endpoint, rec.Status, elapsed)
 		if s.logger != nil {
 			s.logger.LogAttrs(ctx, slog.LevelInfo, "request",
 				slog.String("method", r.Method),
 				slog.String("uri", r.URL.RequestURI()),
-				slog.Int("status", rec.status),
+				slog.Int("status", rec.Status),
 				slog.Float64("duration_ms", float64(elapsed.Nanoseconds())/1e6),
 			)
 		}
 	})
-}
-
-// statusRecorder captures the response status for metrics and logging.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if !sr.wrote {
-		sr.status = code
-		sr.wrote = true
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	if !sr.wrote {
-		sr.status = http.StatusOK
-		sr.wrote = true
-	}
-	return sr.ResponseWriter.Write(b)
 }
 
 func (s *Server) recover(next http.Handler) http.Handler {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestRequestIDAssignedAndEchoed(t *testing.T) {
@@ -43,8 +45,8 @@ func TestPanicRecoveryReturnsEnvelopedError(t *testing.T) {
 	// registered directly on the mux, not via route(), so it is outside
 	// the normalized endpoint set and lands in the "other" bucket.
 	snap := s.statsSnapshot()
-	if snap.Endpoints[otherEndpoint].Status["5xx"] != 1 {
-		t.Fatalf("panic not recorded as 5xx: %+v", snap.Endpoints[otherEndpoint])
+	if snap.Endpoints[obs.OtherLabel].Status["5xx"] != 1 {
+		t.Fatalf("panic not recorded as 5xx: %+v", snap.Endpoints[obs.OtherLabel])
 	}
 }
 
@@ -113,18 +115,18 @@ func TestConcurrentRecommend(t *testing.T) {
 func TestInvalidateCache(t *testing.T) {
 	s, _ := testServer(t)
 	get(t, s, "/v1/recommend?user=4&k=3")
-	if _, _, entries := s.cache.Stats(); entries != 1 {
+	if _, _, entries := s.disp.CacheStats(); entries != 1 {
 		t.Fatalf("entries = %d, want 1", entries)
 	}
 	s.InvalidateCache()
-	if _, _, entries := s.cache.Stats(); entries != 0 {
+	if _, _, entries := s.disp.CacheStats(); entries != 0 {
 		t.Fatal("invalidate left entries behind")
 	}
 	rr, _ := get(t, s, "/v1/recommend?user=4&k=3")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("post-invalidate status %d", rr.Code)
 	}
-	_, misses, _ := s.cache.Stats()
+	_, misses, _ := s.disp.CacheStats()
 	if misses != 2 {
 		t.Fatalf("misses = %d, want 2 (re-score after invalidate)", misses)
 	}

@@ -102,12 +102,12 @@ func TestEndpointCardinalityBounded(t *testing.T) {
 		labels[lv[0]] = true
 	})
 	for l := range labels {
-		if l != otherEndpoint && !s.routes[l] {
+		if l != obs.OtherLabel && !s.routes[l] {
 			t.Fatalf("unregistered endpoint label %q leaked into metrics", l)
 		}
 	}
 	snap := s.statsSnapshot()
-	if got := snap.Endpoints[otherEndpoint].Count; got != 200 {
+	if got := snap.Endpoints[obs.OtherLabel].Count; got != 200 {
 		t.Fatalf("other bucket count = %d, want 200", got)
 	}
 	if len(snap.Endpoints) > len(s.routes)+1 {

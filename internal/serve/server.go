@@ -19,9 +19,6 @@
 //	GET  /v1/debug/traces                → recent request traces (bounded ring)
 //	POST /v1/admin/reload                → hot-swap the model snapshot
 //
-// The legacy unversioned paths (/health, /recommend, /similar,
-// /explain) answer with 308 permanent redirects into /v1.
-//
 // Serving state lives behind a shard dispatcher (internal/shard):
 // WithShards partitions users and items across N in-process scorer
 // replicas by consistent hashing of CKG entity IDs, each with its own
@@ -45,10 +42,8 @@
 package serve
 
 import (
-	"log"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -62,7 +57,9 @@ import (
 	"repro/internal/shard"
 )
 
-// Defaults for the tunable knobs; override via Options.
+// Serving defaults and fixed bounds. Options override the shard count,
+// cache size, timeout, batch limit and reload policy; the probe count
+// and trace ring are fixed.
 const (
 	DefaultShards         = 1                      // scorer shards behind the dispatcher
 	DefaultCacheSize      = 4096                   // cached per-user score vectors (total, split across shards)
@@ -80,10 +77,8 @@ type Server struct {
 	d *dataset.Dataset
 
 	// disp owns all serving state: per-shard scorers, score caches,
-	// degraded flags, and the fan-out pool. cache is the aggregate
-	// window over the shards' caches.
-	disp  *shard.Dispatcher
-	cache cacheView
+	// degraded flags, and the fan-out pool.
+	disp *shard.Dispatcher
 
 	// Hot-reload wiring (the dispatcher swaps scorers; Reload drives
 	// it through the configured loader).
@@ -125,14 +120,11 @@ type Server struct {
 	slosSet        bool
 	obsOff         bool
 	timeout        time.Duration
-	workers        int
 	shards         int
 	cacheSize      int
-	maxProbes      int
 	limits         api.Limits
 	reloadAttempts int
 	reloadBackoff  time.Duration
-	traceRing      int
 	annCfg         shard.ANNConfig
 }
 
@@ -145,30 +137,9 @@ type Option func(*Server)
 // benchmarks quiet.
 func WithSlog(l *slog.Logger) Option { return func(s *Server) { s.logger = l } }
 
-// WithLogger adapts a legacy *log.Logger destination into the
-// structured logging path.
-//
-// Deprecated: use WithSlog.
-func WithLogger(l *log.Logger) Option {
-	return func(s *Server) {
-		if l != nil {
-			s.logger = obs.NewLogger(l.Writer(), slog.LevelInfo)
-		}
-	}
-}
-
 // WithTimeout sets the per-request deadline enforced by the timeout
 // middleware. Zero disables the deadline.
 func WithTimeout(d time.Duration) Option { return func(s *Server) { s.timeout = d } }
-
-// WithWorkers bounds the worker pool used for probe and batch scoring.
-func WithWorkers(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.workers = n
-		}
-	}
-}
 
 // WithShards partitions serving across n scorer replicas behind the
 // consistent-hash dispatcher. Each shard owns its own scorer, score
@@ -188,15 +159,6 @@ func WithCacheSize(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
 			s.cacheSize = n
-		}
-	}
-}
-
-// WithMaxProbes caps the probe-user set per /similar request.
-func WithMaxProbes(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxProbes = n
 		}
 	}
 }
@@ -236,16 +198,6 @@ func WithANN(cfg shard.ANNConfig) Option {
 // semantic query endpoints scan the embedding rows linearly.
 func WithoutANN() Option {
 	return func(s *Server) { s.annCfg = shard.ANNConfig{Enabled: false} }
-}
-
-// WithTraceRing sets how many completed traces /v1/debug/traces
-// retains.
-func WithTraceRing(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.traceRing = n
-		}
-	}
 }
 
 // WithFederation declares the served dataset a federated snapshot
@@ -329,14 +281,11 @@ func New(d *dataset.Dataset, scorer eval.Scorer, opts ...Option) *Server {
 	s := &Server{
 		d:              d,
 		timeout:        DefaultTimeout,
-		workers:        runtime.GOMAXPROCS(0),
 		shards:         DefaultShards,
 		cacheSize:      DefaultCacheSize,
-		maxProbes:      DefaultMaxProbes,
 		limits:         api.DefaultLimits(),
 		reloadAttempts: DefaultReloadAttempts,
 		reloadBackoff:  DefaultReloadBackoff,
-		traceRing:      DefaultTraceRing,
 		annCfg:         shard.ANNConfig{Enabled: true},
 		routes:         make(map[string]bool),
 	}
@@ -355,14 +304,12 @@ func New(d *dataset.Dataset, scorer eval.Scorer, opts ...Option) *Server {
 	s.disp = shard.New(shard.Config{
 		Shards:    s.shards,
 		CacheSize: s.cacheSize,
-		Workers:   s.workers,
 		Dataset:   d,
 		CSR:       s.csr,
 		Fallback:  eval.Popularity(d, s.csr),
 		Scorer:    scorer,
 		ANN:       s.annCfg,
 	})
-	s.cache = cacheView{disp: s.disp}
 	s.validate = api.Validator{Limits: s.limits, NumUsers: d.NumUsers, NumItems: d.NumItems}
 	if s.fed != nil {
 		if s.fed.Dataset != d {
@@ -379,7 +326,7 @@ func New(d *dataset.Dataset, scorer eval.Scorer, opts ...Option) *Server {
 	if s.ingest != nil {
 		s.ingest.app.Register(s.metrics.reg, s.ingest.led)
 	}
-	s.tracer = obs.NewTracer(s.traceRing)
+	s.tracer = obs.NewTracer(DefaultTraceRing)
 
 	s.mux = http.NewServeMux()
 	s.route("/v1/health", http.MethodGet, s.handleHealth)
@@ -405,10 +352,6 @@ func New(d *dataset.Dataset, scorer eval.Scorer, opts ...Option) *Server {
 		promHandler.ServeHTTP(w, r)
 	})
 	s.route("/v1/debug/traces", http.MethodGet, obs.TracesHandler(s.tracer).ServeHTTP)
-	for _, legacy := range []string{"/health", "/recommend", "/similar", "/explain"} {
-		s.mux.HandleFunc(legacy, s.redirectV1)
-		s.routes[legacy] = true
-	}
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, notFound("no such endpoint %q", r.URL.Path))
 	})
@@ -421,7 +364,7 @@ func New(d *dataset.Dataset, scorer eval.Scorer, opts ...Option) *Server {
 	for ep := range s.routes {
 		s.rootSpanName[ep] = "http " + ep
 	}
-	s.rootSpanName[otherEndpoint] = "http " + otherEndpoint
+	s.rootSpanName[obs.OtherLabel] = "http " + obs.OtherLabel
 
 	if s.obsOff {
 		s.handler = s.shed(s.recover(s.deadline(s.mux)))
@@ -450,7 +393,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // InvalidateCache drops every shard's cached score vectors. Call after
 // swapping in retrained model weights so subsequent requests re-score.
-func (s *Server) InvalidateCache() { s.cache.Invalidate() }
+func (s *Server) InvalidateCache() { s.disp.Invalidate() }
 
 // route registers a handler with method enforcement that keeps 405s
 // inside the error envelope (the stdlib mux would answer plain text),
@@ -478,15 +421,4 @@ func (s *Server) route(path, method string, h http.HandlerFunc) {
 		defer sp.End()
 		h(w, r.WithContext(ctx))
 	})
-}
-
-// redirectV1 maps a legacy unversioned path onto /v1, preserving the
-// query string. 308 keeps the method on replay, so existing clients
-// and examples continue to work unchanged.
-func (s *Server) redirectV1(w http.ResponseWriter, r *http.Request) {
-	target := "/v1" + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	http.Redirect(w, r, target, http.StatusPermanentRedirect)
 }

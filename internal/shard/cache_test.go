@@ -1,4 +1,4 @@
-package serve
+package shard
 
 import (
 	"context"
@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// fakeScorer fills deterministic values and counts invocations.
+// fakeScoreFn fills deterministic values and counts invocations.
 func fakeScoreFn(calls *atomic.Int64, dim int) func(context.Context, int, []float64) {
 	return func(_ context.Context, user int, out []float64) {
 		calls.Add(1)
@@ -19,7 +19,7 @@ func fakeScoreFn(calls *atomic.Int64, dim int) func(context.Context, int, []floa
 
 func TestScoreCacheHitMissAccounting(t *testing.T) {
 	var calls atomic.Int64
-	c := newScoreCache(8, 4, fakeScoreFn(&calls, 4))
+	c := NewScoreCache(8, 4, fakeScoreFn(&calls, 4))
 
 	v := c.Scores(context.Background(), 3)
 	if v[1] != 13 {
@@ -42,7 +42,7 @@ func TestScoreCacheHitMissAccounting(t *testing.T) {
 
 func TestScoreCacheLRUEviction(t *testing.T) {
 	var calls atomic.Int64
-	c := newScoreCache(2, 2, fakeScoreFn(&calls, 2))
+	c := NewScoreCache(2, 2, fakeScoreFn(&calls, 2))
 	c.Scores(context.Background(), 0) // miss
 	c.Scores(context.Background(), 1) // miss
 	c.Scores(context.Background(), 0) // hit, moves 0 to front
@@ -60,7 +60,7 @@ func TestScoreCacheLRUEviction(t *testing.T) {
 
 func TestScoreCacheInvalidate(t *testing.T) {
 	var calls atomic.Int64
-	c := newScoreCache(8, 2, fakeScoreFn(&calls, 2))
+	c := NewScoreCache(8, 2, fakeScoreFn(&calls, 2))
 	c.Scores(context.Background(), 1)
 	c.Invalidate()
 	if _, _, entries := c.Stats(); entries != 0 {
@@ -77,7 +77,7 @@ func TestScoreCacheInvalidate(t *testing.T) {
 // vector must hold the right user's scores.
 func TestScoreCacheConcurrent(t *testing.T) {
 	var calls atomic.Int64
-	c := newScoreCache(16, 8, fakeScoreFn(&calls, 8))
+	c := NewScoreCache(16, 8, fakeScoreFn(&calls, 8))
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)

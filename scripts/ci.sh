@@ -58,6 +58,13 @@ if [ "$mode" = "all" ]; then
     go build ./...
     echo "== go test ./..."
     go test ./...
+    # discbench/ is its own module (replace repro => ../), so the root
+    # build skips it; vet and test it here so an API change it relies
+    # on fails CI instead of the benchmark. Same module flags as
+    # discbench/run.sh.
+    echo "== discbench: go vet ./... && go test ./..."
+    (cd discbench && GOFLAGS=-mod=readonly GOPROXY=off go vet ./... && \
+        GOFLAGS=-mod=readonly GOPROXY=off go test ./...)
     echo "== scrape smoke: /metrics exposition + trace round trip (httptest)"
     go test -run 'TestMetricsEndpointExposition|TestEndpointCardinalityBounded|TestTraceEndToEnd' \
         -count 1 ./internal/serve/
