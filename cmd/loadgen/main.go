@@ -10,7 +10,7 @@
 // Or let the harness boot its own in-process topologies (shared tiny
 // model, loopback listeners) and sweep all of them:
 //
-//	loadgen -self 1shard,4shard,router2 -rates 200,400,800 -json BENCH_load.json
+//	loadgen -self 1shard,router2 -rates 200,400,800 -json BENCH_load.json
 //
 // Latency is measured from each request's *scheduled* arrival time, so
 // server-side queueing under overload is charged to the server instead
@@ -38,7 +38,7 @@ func fatal(err error) {
 
 func main() {
 	target := flag.String("target", "", "base URL of a live server or router to drive")
-	self := flag.String("self", "", "comma-separated self-serve topologies to boot and sweep (e.g. 1shard,4shard,router2)")
+	self := flag.String("self", "", "comma-separated self-serve topologies to boot and sweep: 1shard, router<n> (e.g. 1shard,router2)")
 	rates := flag.String("rates", "50,100,200,400", "comma-separated offered rates (ops/sec), ascending")
 	stepDur := flag.Duration("step-dur", 5*time.Second, "duration of each rate step")
 	warmup := flag.Duration("warmup", time.Second, "warmup load before the first measured step")

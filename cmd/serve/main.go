@@ -53,12 +53,11 @@ func main() {
 	save := flag.Bool("save", false, "train and save the snapshot, then serve")
 	timeout := flag.Duration("timeout", serve.DefaultTimeout, "per-request deadline")
 	cacheSize := flag.Int("cache", serve.DefaultCacheSize, "score-vector cache entries")
-	shards := flag.Int("shards", serve.DefaultShards, "in-process scorer shards (consistent-hash partitioned)")
 	maxInflight := flag.Int("max-inflight", 0, "shed requests beyond this inflight cap (0 disables)")
 	sloP99 := flag.Float64("slo-p99-ms", serve.DefaultSLOObjectiveMS, "per-endpoint latency objective for the declared SLOs (ms)")
 	sloTarget := flag.Float64("slo-target", serve.DefaultSLOTarget, "promised good-request fraction per SLO")
 	sloWindow := flag.Duration("slo-window", serve.DefaultSLOWindow, "SLO evaluation window")
-	annOn := flag.Bool("ann", true, "build per-shard HNSW indexes for mode=ann and the /v1/query endpoints")
+	annOn := flag.Bool("ann", true, "build the HNSW index for mode=ann and the /v1/query endpoints")
 	annEF := flag.Int("ann-ef", ann.DefaultEfSearch, "default ann search breadth (per-request ef overrides)")
 	annM := flag.Int("ann-m", ann.DefaultM, "HNSW connectivity (neighbors per node)")
 	annSeed := flag.Int64("ann-seed", ann.DefaultSeed, "deterministic HNSW construction seed")
@@ -169,7 +168,6 @@ func main() {
 	opts := []serve.Option{
 		serve.WithTimeout(*timeout),
 		serve.WithCacheSize(*cacheSize),
-		serve.WithShards(*shards),
 		serve.WithSLOs(serve.DefaultSLOs(*sloP99, *sloTarget, *sloWindow)...),
 	}
 	if led != nil {
@@ -209,7 +207,7 @@ func main() {
 		}
 	}
 	handler := serve.New(d, scorer, opts...)
-	// Replayed delta edges become visible to the shards' path finders
+	// Replayed delta edges become visible to the path finders
 	// by compacting once at boot: the merged graph freezes and swaps in
 	// through the same generation path /v1/admin/compact uses.
 	if app != nil && (app.Overlay().DeltaEdges() > 0 || app.Overlay().DeltaEntities() > 0) {
@@ -265,7 +263,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 
-	fmt.Printf("serving %s data discovery on %s (%d scorer shard(s))\n", d.Name, *addr, *shards)
+	fmt.Printf("serving %s data discovery on %s\n", d.Name, *addr)
 	fmt.Println("  GET  /v1/health | /v1/health/live | /v1/health/ready | /v1/recommend?user=&k= | /v1/similar?item=&k= | /v1/explain?user=&item= | /v1/stats")
 	fmt.Println("  GET  /v1/query:nearest?entity=item:42&k=&type= | /v1/query:analogy?a=&b=&c=&k= (semantic queries; &mode=exact|ann, &ef=)")
 	if fed != nil {

@@ -23,8 +23,8 @@ import (
 
 // Self-serve topologies: `loadgen -self` trains one small model and
 // boots the requested serving shapes in-process on loopback listeners,
-// so a capacity sweep over 1-shard vs N-shard vs router topologies
-// runs from a single command with no external processes. The same
+// so a capacity sweep over single-server vs router topologies runs
+// from a single command with no external processes. The same
 // trained scorer backs every topology, making the knee differences
 // attributable to the serving architecture alone.
 
@@ -150,12 +150,13 @@ func (tp *Topology) newBackend(sm *SelfModel, idx int, ingestDir string, opts ..
 
 // StartTopology boots one named serving shape over sm:
 //
-//	"1shard"          one serve.Server, one scorer shard
-//	"<n>shard"        one serve.Server partitioned across n shards
-//	"router"          a router fronting 2 single-shard backends
-//	"router<n>"       a router fronting n single-shard backends
+//	"1shard"          one serve.Server
+//	"router"          a router fronting 2 serve.Server backends
+//	"router<n>"       a router fronting n serve.Server backends
 //
-// opts are applied to every serve.Server in the shape.
+// A server holds exactly one shard, so "<n>shard" with n > 1 is
+// rejected with an error naming router<n>, the shape that serves n
+// shards. opts are applied to every serve.Server in the shape.
 func StartTopology(name string, sm *SelfModel, ingestDir string, opts ...serve.Option) (*Topology, error) {
 	tp := &Topology{Name: name}
 	fail := func(err error) (*Topology, error) {
@@ -166,9 +167,12 @@ func StartTopology(name string, sm *SelfModel, ingestDir string, opts ...serve.O
 	case strings.HasSuffix(name, "shard"):
 		n, err := strconv.Atoi(strings.TrimSuffix(name, "shard"))
 		if err != nil || n < 1 {
-			return fail(fmt.Errorf("bad topology %q: want <n>shard", name))
+			return fail(fmt.Errorf("bad topology %q: want 1shard or router<n>", name))
 		}
-		s, err := tp.newBackend(sm, 0, ingestDir, append(opts, serve.WithShards(n))...)
+		if n > 1 {
+			return fail(fmt.Errorf("topology %q: a server holds one shard; use router%d for %d shards", name, n, n))
+		}
+		s, err := tp.newBackend(sm, 0, ingestDir, opts...)
 		if err != nil {
 			return fail(err)
 		}
@@ -207,7 +211,7 @@ func StartTopology(name string, sm *SelfModel, ingestDir string, opts ...serve.O
 		tp.Target = url
 		tp.Scrapes = append([]string{url}, backends...)
 	default:
-		return fail(fmt.Errorf("unknown topology %q (want <n>shard or router[<n>])", name))
+		return fail(fmt.Errorf("unknown topology %q (want 1shard or router[<n>])", name))
 	}
 	return tp, nil
 }

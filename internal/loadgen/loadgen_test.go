@@ -263,10 +263,11 @@ func TestRouterTopologySweep(t *testing.T) {
 	}
 }
 
-// A sharded topology boots and answers.
+// Multi-shard serving is the router's job: a router2 topology boots
+// and answers, while "2shard" is rejected with an error naming router2.
 func TestShardedTopology(t *testing.T) {
 	sm := selfModel(t)
-	tp, err := StartTopology("2shard", sm, "")
+	tp, err := StartTopology("router2", sm, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,6 +275,9 @@ func TestShardedTopology(t *testing.T) {
 	cl := client.New(tp.Target)
 	if _, err := cl.Recommend(context.Background(), 1, 3); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := StartTopology("2shard", sm, ""); err == nil || !strings.Contains(err.Error(), "router2") {
+		t.Fatalf("2shard topology: err = %v, want a rejection naming router2", err)
 	}
 	if _, err := StartTopology("bogus", sm, ""); err == nil {
 		t.Fatal("bogus topology accepted")

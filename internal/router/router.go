@@ -425,22 +425,26 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Group users by owning backend, remembering request positions.
-	groups := make(map[int][]int)    // backend -> users
-	positions := make(map[int][]int) // backend -> original indices
+	groups := make([][]int, len(rt.backends))    // backend -> users
+	positions := make([][]int, len(rt.backends)) // backend -> original indices
 	for i, u := range req.Users {
 		b := rt.BackendFor(shard.UserKey(u))
 		groups[b] = append(groups[b], u)
 		positions[b] = append(positions[b], i)
 	}
 
+	// Sub-batches run in ascending backend order, so when several fail
+	// the lowest-indexed backend's envelope is the one returned.
 	type sub struct {
 		backend int
 		resp    api.BatchResponse
 		err     error
 	}
-	subs := make([]sub, 0, len(groups))
-	for b := range groups {
-		subs = append(subs, sub{backend: b})
+	var subs []sub
+	for b, users := range groups {
+		if len(users) > 0 {
+			subs = append(subs, sub{backend: b})
+		}
 	}
 	var wg sync.WaitGroup
 	for i := range subs {

@@ -290,6 +290,54 @@ func TestRouterUnreachableBackend(t *testing.T) {
 	}
 }
 
+// A batch whose sub-batches fail on two backends must answer with the
+// same envelope every time: the lowest-indexed failing backend's,
+// independent of goroutine scheduling or map iteration order.
+func TestRouterBatchErrorDeterministic(t *testing.T) {
+	urls := make([]string, 2)
+	for i := range urls {
+		dead := httptest.NewServer(http.NotFoundHandler())
+		urls[i] = dead.URL
+		dead.Close() // connections to its address are now refused
+	}
+	rt, err := New(Config{Backends: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One user owned by each backend, so the batch spans both.
+	owned := []int{-1, -1}
+	for u := 0; owned[0] < 0 || owned[1] < 0; u++ {
+		if b := rt.BackendFor(shard.UserKey(u)); owned[b] < 0 {
+			owned[b] = u
+		}
+	}
+	body, _ := json.Marshal(api.BatchRequest{Users: []int{owned[1], owned[0]}, K: 3})
+
+	var first api.Error
+	for i := 0; i < 20; i++ {
+		code, raw := post(t, rt, "/v1/recommend:batch", body)
+		var env api.ErrorEnvelope
+		if err := json.Unmarshal([]byte(raw), &env); err != nil || env.Error == nil {
+			t.Fatalf("attempt %d: not an error envelope: %d %s", i, code, raw)
+		}
+		got := *env.Error
+		got.TraceID = "" // differs per request by design
+		if code != http.StatusBadGateway || got.Status != http.StatusBadGateway || got.Code != "bad_gateway" {
+			t.Fatalf("attempt %d: %d %s, want 502 bad_gateway", i, code, raw)
+		}
+		if i == 0 {
+			first = got
+			if !strings.Contains(got.Message, urls[0]) {
+				t.Fatalf("envelope names %q, want backend 0 (%s)", got.Message, urls[0])
+			}
+			continue
+		}
+		if got != first {
+			t.Fatalf("attempt %d: envelope %+v differs from the first %+v", i, got, first)
+		}
+	}
+}
+
 // Reload must fan out to every backend and merge the per-shard reports
 // with globally re-numbered shard IDs.
 func TestRouterReloadFanOut(t *testing.T) {

@@ -224,7 +224,7 @@ type IngestResponse struct {
 }
 
 // CompactResponse is the POST /v1/admin/compact payload: the shape of
-// the freshly frozen graph now serving on every shard.
+// the freshly frozen graph now serving.
 type CompactResponse struct {
 	Status     string `json:"status"`
 	Entities   int    `json:"entities"`
@@ -256,8 +256,8 @@ type EndpointStats struct {
 	P99ms  float64           `json:"p99_ms"`
 }
 
-// CacheStats is the score-cache block of /v1/stats. In sharded serving
-// the top-level block aggregates every shard; per-shard figures live
+// CacheStats is the score-cache block of /v1/stats. Through cmd/router
+// the top-level block aggregates every backend; per-shard figures live
 // in ShardStats.
 type CacheStats struct {
 	Hits    uint64  `json:"hits"`

@@ -7,7 +7,7 @@ import (
 )
 
 // Scoring modes for the ranking endpoints. Exact scores the full
-// catalog; ann answers from the per-shard HNSW index over the snapshot
+// catalog; ann answers from the HNSW index over the snapshot
 // embeddings, falling back to exact when no index is available.
 const (
 	ModeExact = "exact"

@@ -3,8 +3,8 @@ package api
 import "strings"
 
 // Request validation lives with the wire types so every server-side
-// entry point — the in-process handlers, the sharded dispatcher, and
-// the multi-process router — enforces one set of bounds with one set
+// entry point — the in-process handlers, the dispatcher, and the
+// multi-process router — enforces one set of bounds with one set
 // of error messages, and so the bounds themselves are publishable
 // through /v1/stats (the Limits block) instead of living as scattered
 // per-handler constants.

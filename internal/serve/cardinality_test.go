@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 
 	"repro/internal/obs"
@@ -11,7 +10,7 @@ import (
 )
 
 // TestMetricLabelCardinalityBounded is the cross-subsystem cardinality
-// audit: after a federated, sharded, ANN-enabled server takes diverse
+// audit: after a federated, ANN-enabled default server takes diverse
 // traffic — valid requests in both scoring modes, facility filters,
 // bad parameters, and a flood of unique unregistered paths — every
 // label value on every registered family must still come from a fixed,
@@ -19,8 +18,7 @@ import (
 // grown beyond its primed bound. Request content must never mint new
 // time series.
 func TestMetricLabelCardinalityBounded(t *testing.T) {
-	const shards = 2
-	s, fed := federatedServer(t, WithShards(shards), WithANN(shard.ANNConfig{}))
+	s, fed := federatedServer(t, WithANN(shard.ANNConfig{}))
 
 	drive := func(wave int) {
 		for u := 0; u < 6; u++ {
@@ -59,10 +57,7 @@ func TestMetricLabelCardinalityBounded(t *testing.T) {
 		"1xx": true, "2xx": true, "3xx": true, "4xx": true, "5xx": true,
 		obs.OtherLabel: true,
 	}
-	shardIDs := map[string]bool{}
-	for i := 0; i < shards; i++ {
-		shardIDs[strconv.Itoa(i)] = true
-	}
+	shardIDs := map[string]bool{"0": true}
 	modes := map[string]bool{"exact": true, "ann": true}
 	sloNames := map[string]bool{}
 	for _, cfg := range s.slos {

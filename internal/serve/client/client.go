@@ -130,7 +130,7 @@ func (c *Client) Recommend(ctx context.Context, user, k int) ([]Recommendation, 
 }
 
 // RecommendBatch fetches top-k recommendations for many users in one
-// round trip; the server fans them out across its scorer shards.
+// round trip; the server ranks them on its bounded worker pool.
 func (c *Client) RecommendBatch(ctx context.Context, users []int, k int) ([]UserRecommendations, error) {
 	body, err := json.Marshal(api.BatchRequest{Users: users, K: k, Mode: c.mode})
 	if err != nil {

@@ -13,20 +13,18 @@ import (
 )
 
 // Graceful degradation: the server never holds a request hostage to a
-// missing model. Each shard's active scorer lives behind an atomic
-// pointer in the dispatcher so it can be hot-swapped (admin reload,
-// SIGHUP) without a restart, and a shard with no trained scorer —
-// snapshot absent, corrupt, or a reload that keeps failing — answers
-// from a popularity-prior fallback ranker with "degraded": true
-// instead of a 5xx, while its sibling shards keep serving at full
-// quality. Load beyond the configured inflight cap is shed with 503 +
+// missing model. The active scorer lives behind an atomic pointer in
+// the dispatcher so it can be hot-swapped (admin reload, SIGHUP)
+// without a restart, and with no trained scorer — snapshot absent,
+// corrupt, or a reload that keeps failing — the server answers from a
+// popularity-prior fallback ranker with "degraded": true instead of a
+// 5xx. Load beyond the configured inflight cap is shed with 503 +
 // Retry-After so the requests that are admitted keep their latency
 // budget.
 
 // Loader produces a fresh scorer for hot reload — typically by reading
-// a snapshot file from disk. It must be safe to call repeatedly: a
-// multi-shard reload invokes it once per shard so every replica gets
-// its own scorer instance.
+// a snapshot file from disk. It must be safe to call repeatedly: each
+// Reload retries it until it succeeds or the attempts run out.
 type Loader func() (eval.Scorer, error)
 
 // WithLoader installs the scorer loader used by Reload (and therefore
@@ -45,8 +43,8 @@ func WithMaxInflight(n int) Option {
 	}
 }
 
-// WithReloadPolicy tunes Reload's retry loop: attempts total tries per
-// shard and the initial backoff between them (doubling each retry).
+// WithReloadPolicy tunes Reload's retry loop: attempts total tries
+// and the initial backoff between them (doubling each retry).
 func WithReloadPolicy(attempts int, backoff time.Duration) Option {
 	return func(s *Server) {
 		if attempts > 0 {
@@ -63,41 +61,36 @@ func WithReloadPolicy(attempts int, backoff time.Duration) Option {
 // evaluation layer uses, so serving and eval share one definition of
 // "popular" built from the same frozen CKG.
 
-// Degraded reports whether ANY shard is currently serving from the
-// popularity fallback. Readiness keys off this strictest view so load
-// balancers prefer replicas where every shard has a real model; the
-// per-shard picture is in /v1/stats.
+// Degraded reports whether the server is currently answering from the
+// popularity fallback. Readiness keys off it so load balancers prefer
+// replicas with a real model.
 func (s *Server) Degraded() bool { return s.disp.Degraded() }
 
-// SetScorer atomically swaps the active scorer on every shard and
-// invalidates their score-vector caches so no vector computed by the
-// previous scorer can be served afterward. A nil scorer degrades to
-// the popularity fallback.
+// SetScorer atomically swaps the active scorer and invalidates the
+// score-vector cache so no vector computed by the previous scorer can
+// be served afterward. A nil scorer degrades to the popularity
+// fallback.
 func (s *Server) SetScorer(sc eval.Scorer) { s.disp.SetScorer(sc) }
 
-// Reload pulls fresh scorers from the configured Loader and swaps them
-// in shard by shard. It reports only the aggregate outcome; callers
-// that need per-shard detail use ReloadShards.
+// Reload pulls a fresh scorer from the configured Loader and swaps it
+// in.
 func (s *Server) Reload() error {
-	_, err := s.ReloadShards()
+	_, err := s.reload()
 	return err
 }
 
-// ReloadShards reloads every shard (each with its own retry loop and
-// exponential backoff) and returns the per-shard outcomes. Reloads are
-// serialized — a call arriving while another is swapping shards gets
-// errReloadInFlight (409) instead of queueing behind work that would
-// only re-read the same snapshot. A shard whose loads all fail keeps
-// its previous state —
-// trained or fallback — serving, and its siblings still swap, so a
-// partial failure degrades partially instead of globally.
-func (s *Server) ReloadShards() ([]api.ShardReload, error) {
+// reload runs the loader under the retry policy and returns the shard 0
+// outcome block. Reloads are serialized — a call arriving while
+// another is swapping gets errReloadInFlight (409) instead of queueing
+// behind work that would only re-read the same snapshot. When every
+// load fails the previous state — trained or fallback — keeps serving.
+func (s *Server) reload() (api.ShardReload, error) {
 	if !s.reloadMu.TryLock() {
-		return nil, errReloadInFlight
+		return api.ShardReload{}, errReloadInFlight
 	}
 	defer s.reloadMu.Unlock()
 	if s.loader == nil {
-		return nil, errNoLoader
+		return api.ShardReload{}, errNoLoader
 	}
 	loader := func() (eval.Scorer, error) {
 		sc, err := s.loader()
@@ -108,15 +101,13 @@ func (s *Server) ReloadShards() ([]api.ShardReload, error) {
 		}
 		return sc, err
 	}
-	reports, err := s.disp.Reload(loader, s.reloadAttempts, s.reloadBackoff)
-	for _, rep := range reports {
-		if rep.Status == "reloaded" {
-			s.metrics.reloads.Add(1)
-		} else {
-			s.metrics.reloadFailures.Add(1)
-		}
+	report, err := s.disp.Reload(loader, s.reloadAttempts, s.reloadBackoff)
+	if err != nil {
+		s.metrics.reloadFailures.Add(1)
+	} else {
+		s.metrics.reloads.Add(1)
 	}
-	return reports, err
+	return report, err
 }
 
 var errNoLoader = &apiError{
@@ -126,7 +117,7 @@ var errNoLoader = &apiError{
 }
 
 // errReloadInFlight is the 409 envelope for a reload requested while
-// another is still swapping shards: reloads are serialized, and
+// another is still swapping: reloads are serialized, and
 // queueing a second one would only re-read the same snapshot, so the
 // caller is told to retry after the current one finishes.
 var errReloadInFlight = &apiError{
@@ -135,12 +126,13 @@ var errReloadInFlight = &apiError{
 	Status:  http.StatusConflict,
 }
 
-// handleReload is POST /v1/admin/reload: swap in freshly loaded
-// scorers and report every shard's outcome. Failure keeps the previous
-// scorers serving, so the error is informational; a partial failure
-// returns the envelope plus the per-shard detail.
+// handleReload is POST /v1/admin/reload: swap in a freshly loaded
+// scorer and report the outcome as a one-element shards array, the
+// shape cmd/router merges across backends. Failure keeps the previous
+// scorer serving, so the error is informational and carries the shard
+// block too.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	reports, err := s.ReloadShards()
+	report, err := s.reload()
 	if err != nil {
 		if ae, ok := err.(*apiError); ok {
 			s.writeError(w, r, ae)
@@ -155,12 +147,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, e.Status, struct {
 			Error  *apiError         `json:"error"`
 			Shards []api.ShardReload `json:"shards,omitempty"`
-		}{Error: e, Shards: reports})
+		}{Error: e, Shards: []api.ShardReload{report}})
 		return
 	}
 	writeJSON(w, http.StatusOK, api.ReloadResponse{
 		Degraded: s.Degraded(),
-		Shards:   reports,
+		Shards:   []api.ShardReload{report},
 		Status:   "reloaded",
 	})
 }
@@ -174,15 +166,15 @@ func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReady is GET /v1/health/ready: readiness for full-quality
-// traffic. Any degraded shard answers 503 so load balancers prefer
-// replicas with a real model on every shard, while the body still
-// explains the state.
+// traffic. A degraded server answers 503 so load balancers prefer
+// replicas with a real model, while the body still explains the state
+// and names the degraded shard (always shard 0).
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.Degraded() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":   "degraded",
 			"degraded": true,
-			"shards":   s.disp.DegradedShards(),
+			"shards":   []int{0},
 			"reason":   "no trained scorer loaded; serving popularity fallback",
 		})
 		return

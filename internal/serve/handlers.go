@@ -16,7 +16,7 @@ import (
 // The wire shapes (requests, responses, the uniform error envelope)
 // live in internal/serve/api, shared with the typed client and the
 // multi-process router; handlers here only decode, validate through
-// api.Validator, route onto the shard dispatcher, and render.
+// api.Validator, route onto the dispatcher, and render.
 
 // apiError is retained as an in-package name for the shared envelope
 // payload.
@@ -178,7 +178,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Degraded: s.Degraded(),
 		Facility: s.d.Name,
 		Items:    s.d.NumItems,
-		Shards:   s.disp.NumShards(),
+		Shards:   1, // one serving state per process; cmd/router sums backends
 		Status:   "ok",
 		Users:    s.d.NumUsers,
 	})
@@ -304,7 +304,7 @@ func (s *Server) probeUsers(item int) []int {
 // returned list is items whose score vectors co-rank with the target
 // across a probe set of users. Probe selection stays here (it reads
 // the serve-side users-by-item index); vector aggregation fans out
-// across the probes' owning shards inside the dispatcher.
+// over the probes on the dispatcher's bounded pool.
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	qd := decodeQuery(r)
 	item := qd.RequiredInt("item")
@@ -393,10 +393,9 @@ func (s *Server) writeSemanticError(w http.ResponseWriter, r *http.Request, err 
 }
 
 // handleQueryNearest serves GET /v1/query:nearest: the k entities
-// nearest to the anchor in embedding space (inner product), routed to
-// the anchor's owning shard. mode defaults to ann here — there is no
-// legacy behavior to preserve — with ?mode=exact forcing the linear
-// scan.
+// nearest to the anchor in embedding space (inner product). mode
+// defaults to ann here — there is no legacy behavior to preserve —
+// with ?mode=exact forcing the linear scan.
 func (s *Server) handleQueryNearest(w http.ResponseWriter, r *http.Request) {
 	qd := decodeQuery(r)
 	ref, e := s.entityParam(qd, "entity")
@@ -447,7 +446,7 @@ func (s *Server) handleQueryNearest(w http.ResponseWriter, r *http.Request) {
 
 // handleQueryAnalogy serves GET /v1/query:analogy: entities nearest to
 // e_a − e_b + e_c ("datasets like a, but shifted the way c differs
-// from b"), routed to a's owning shard.
+// from b").
 func (s *Server) handleQueryAnalogy(w http.ResponseWriter, r *http.Request) {
 	qd := decodeQuery(r)
 	a, e := s.entityParam(qd, "a")
@@ -509,8 +508,8 @@ func (s *Server) handleQueryAnalogy(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExplain returns knowledge paths from the user's training
-// history to the target item; the CSR walk runs on the user's owning
-// shard with its pooled PathFinder.
+// history to the target item; the CSR walk runs on a pooled
+// PathFinder.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	qd := decodeQuery(r)
 	user := qd.RequiredInt("user")

@@ -18,7 +18,7 @@ import (
 // commits them durably to the Merkle-chained ledger, and applies them
 // to the CSR delta-overlay so /v1/explain and the graph metrics see
 // them immediately. POST /v1/admin/compact folds the accumulated delta
-// into a fresh frozen CSR and hot-swaps it into every shard through
+// into a fresh frozen CSR and hot-swaps it into the dispatcher through
 // the same generation path scorer reloads use.
 //
 // The mu serializes the whole Prepare → Append → Apply sequence, so
@@ -119,7 +119,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCompact is POST /v1/admin/compact: freeze the merged overlay
-// view into a new immutable CSR and swap it into every shard (path
+// view into a new immutable CSR and swap it into the dispatcher (path
 // finders and graph gauges follow the new graph; score caches are
 // invalidated through the same generation path scorer swaps use).
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {

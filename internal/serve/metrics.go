@@ -317,6 +317,6 @@ func (s *Server) statsSnapshot() api.Stats {
 		ANN:       s.disp.ANNStats(),
 		Ingest:    s.ingestStats(),
 		Endpoints: eps,
-		Shards:    s.disp.Stats(),
+		Shards:    []api.ShardStats{s.disp.Stats()},
 	}
 }

@@ -19,13 +19,12 @@
 //	GET  /v1/debug/traces                → recent request traces (bounded ring)
 //	POST /v1/admin/reload                → hot-swap the model snapshot
 //
-// Serving state lives behind a shard dispatcher (internal/shard):
-// WithShards partitions users and items across N in-process scorer
-// replicas by consistent hashing of CKG entity IDs, each with its own
-// score cache, degraded flag, and hot-swap path — the default single
-// shard is bit-identical to the historical single-scorer server. Wire
-// shapes and request validation are shared with the typed client and
-// the multi-process router through internal/serve/api.
+// Serving state lives behind the dispatcher (internal/shard): one
+// hot-swappable scorer, score cache, and degraded flag per process.
+// Multi-shard serving is cmd/router's job — it places users and items
+// on whole serve processes by consistent hashing of CKG entity IDs.
+// Wire shapes and request validation are shared with the typed client
+// and the router through internal/serve/api.
 //
 // Every request passes through a middleware stack providing request
 // IDs, tracing (X-Trace-ID, spans from middleware through handlers
@@ -35,13 +34,14 @@
 // failures use one error envelope: {"error": {"code", "message",
 // "status", "trace_id"}}.
 //
-// The server degrades instead of failing: a shard with no trained
-// snapshot answers from a popularity-prior fallback with "degraded":
-// true (see degrade.go), and models hot-swap at runtime via Reload —
-// per shard — without dropping traffic.
+// The server degrades instead of failing: with no trained snapshot it
+// answers from a popularity-prior fallback with "degraded": true (see
+// degrade.go), and models hot-swap at runtime via Reload without
+// dropping traffic.
 package serve
 
 import (
+	"fmt"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -57,16 +57,16 @@ import (
 	"repro/internal/shard"
 )
 
-// Serving defaults and fixed bounds. Options override the shard count,
-// cache size, timeout, batch limit and reload policy; the probe count
-// and trace ring are fixed.
+// Serving defaults and fixed bounds. Options override the cache size,
+// timeout, batch limit and reload policy; the probe count and trace
+// ring are fixed.
 const (
-	DefaultShards         = 1                      // scorer shards behind the dispatcher
-	DefaultCacheSize      = 4096                   // cached per-user score vectors (total, split across shards)
+	DefaultShards         = 1                      // scorer shards per process; see WithShards
+	DefaultCacheSize      = 4096                   // cached per-user score vectors
 	DefaultTimeout        = 10 * time.Second       // per-request deadline
 	DefaultMaxProbes      = 16                     // probe users per /similar call
 	DefaultMaxBatch       = api.DefaultMaxBatch    // users per recommend:batch call
-	DefaultReloadAttempts = 3                      // tries per shard per Reload call
+	DefaultReloadAttempts = 3                      // tries per Reload call
 	DefaultReloadBackoff  = 100 * time.Millisecond // initial retry backoff
 	DefaultTraceRing      = 128                    // retained traces for /v1/debug/traces
 	maxBatchBody          = 1 << 20                // recommend:batch body limit (bytes)
@@ -76,8 +76,8 @@ const (
 type Server struct {
 	d *dataset.Dataset
 
-	// disp owns all serving state: per-shard scorers, score caches,
-	// degraded flags, and the fan-out pool.
+	// disp owns the serving state: the scorer, score cache, degraded
+	// flag, and the fan-out pool.
 	disp *shard.Dispatcher
 
 	// Hot-reload wiring (the dispatcher swaps scorers; Reload drives
@@ -120,7 +120,6 @@ type Server struct {
 	slosSet        bool
 	obsOff         bool
 	timeout        time.Duration
-	shards         int
 	cacheSize      int
 	limits         api.Limits
 	reloadAttempts int
@@ -141,20 +140,18 @@ func WithSlog(l *slog.Logger) Option { return func(s *Server) { s.logger = l } }
 // middleware. Zero disables the deadline.
 func WithTimeout(d time.Duration) Option { return func(s *Server) { s.timeout = d } }
 
-// WithShards partitions serving across n scorer replicas behind the
-// consistent-hash dispatcher. Each shard owns its own scorer, score
-// cache, and degraded flag; n = 1 (the default) reproduces the
-// single-scorer server exactly.
+// WithShards remains only because the discbench harness passes
+// DefaultShards. A process serves exactly one shard; spread load
+// across processes with cmd/router instead. Any n other than 1 is a
+// construction bug and panics.
 func WithShards(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.shards = n
-		}
+	if n != DefaultShards {
+		panic(fmt.Sprintf("serve.WithShards(%d): a server holds exactly one shard; use cmd/router for more", n))
 	}
+	return func(*Server) {}
 }
 
-// WithCacheSize sets the total LRU score-vector cache capacity
-// (entries), divided evenly across shards.
+// WithCacheSize sets the LRU score-vector cache capacity (entries).
 func WithCacheSize(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -183,8 +180,8 @@ func WithLimits(l api.Limits) Option {
 	}
 }
 
-// WithANN overrides the approximate-index configuration (construction
-// parameters, self-check floor). The index is on by default whenever
+// WithANN overrides the approximate-index construction and search
+// parameters. The index is on by default whenever
 // the scorer exposes embedding vectors; this option tunes it.
 func WithANN(cfg shard.ANNConfig) Option {
 	return func(s *Server) {
@@ -275,13 +272,12 @@ func withoutObs() Option { return func(s *Server) { s.obsOff = true } }
 func WithCSR(c *graph.CSR) Option { return func(s *Server) { s.csr = c } }
 
 // New builds a Server over a dataset and a trained scorer. A nil
-// scorer is allowed: the server boots degraded (every shard on the
+// scorer is allowed: the server boots degraded (serving the
 // popularity fallback) until SetScorer or Reload installs a real one.
 func New(d *dataset.Dataset, scorer eval.Scorer, opts ...Option) *Server {
 	s := &Server{
 		d:              d,
 		timeout:        DefaultTimeout,
-		shards:         DefaultShards,
 		cacheSize:      DefaultCacheSize,
 		limits:         api.DefaultLimits(),
 		reloadAttempts: DefaultReloadAttempts,
@@ -302,7 +298,6 @@ func New(d *dataset.Dataset, scorer eval.Scorer, opts ...Option) *Server {
 	}
 
 	s.disp = shard.New(shard.Config{
-		Shards:    s.shards,
 		CacheSize: s.cacheSize,
 		Dataset:   d,
 		CSR:       s.csr,
@@ -382,8 +377,8 @@ func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 // Tracer exposes the server's trace ring.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// Dispatcher exposes the shard dispatcher for embedding callers that
-// need shard-level control (tests, cmd/serve diagnostics).
+// Dispatcher exposes the dispatcher for embedding callers that drive
+// the serving state directly (tests, cmd/serve's graph swap).
 func (s *Server) Dispatcher() *shard.Dispatcher { return s.disp }
 
 // ServeHTTP implements http.Handler through the middleware stack.
@@ -391,7 +386,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// InvalidateCache drops every shard's cached score vectors. Call after
+// InvalidateCache drops the cached score vectors. Call after
 // swapping in retrained model weights so subsequent requests re-score.
 func (s *Server) InvalidateCache() { s.disp.Invalidate() }
 

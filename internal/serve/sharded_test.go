@@ -11,121 +11,28 @@ import (
 	"repro/internal/serve/api"
 )
 
-// The whole /v1 surface must be byte-identical between the default
-// single-shard server and a 4-shard one: sharding is a deployment
-// knob, not an API change.
-func TestShardedResponsesMatchSingleShard(t *testing.T) {
-	s1, d := testServer(t)
-	s4, _ := testServer(t, WithShards(4))
-	if s4.disp.NumShards() != 4 {
-		t.Fatalf("WithShards(4) built %d shards", s4.disp.NumShards())
+// A server holds exactly one shard: WithShards accepts only
+// DefaultShards and panics on anything else, before a server exists.
+func TestWithShardsPanics(t *testing.T) {
+	for _, n := range []int{0, 2, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("WithShards(%d) did not panic", n)
+				}
+			}()
+			WithShards(n)
+		}()
 	}
-
-	paths := []string{}
-	for user := 0; user < d.NumUsers; user++ {
-		paths = append(paths, fmt.Sprintf("/v1/recommend?user=%d&k=6", user))
-	}
-	item := d.Train[0][1]
-	paths = append(paths,
-		fmt.Sprintf("/v1/similar?item=%d&k=5", item),
-		fmt.Sprintf("/v1/explain?user=%d&item=%d", d.Train[0][0], d.Test[0][1]),
-	)
-	for _, path := range paths {
-		r1, _ := get(t, s1, path)
-		r4, _ := get(t, s4, path)
-		if r1.Code != r4.Code || r1.Body.String() != r4.Body.String() {
-			t.Fatalf("%s: 1-shard and 4-shard responses differ\n1: %d %s\n4: %d %s",
-				path, r1.Code, r1.Body.String(), r4.Code, r4.Body.String())
-		}
-	}
-
-	users := ""
-	for user := 0; user < d.NumUsers; user++ {
-		if user > 0 {
-			users += ","
-		}
-		users += fmt.Sprintf("%d", user)
-	}
-	body := fmt.Sprintf(`{"users":[%s],"k":6}`, users)
-	r1, _ := do(t, s1, http.MethodPost, "/v1/recommend:batch", body)
-	r4, _ := do(t, s4, http.MethodPost, "/v1/recommend:batch", body)
-	if r1.Code != http.StatusOK || r1.Body.String() != r4.Body.String() {
-		t.Fatalf("batch: 1-shard and 4-shard responses differ\n1: %d %s\n4: %d %s",
-			r1.Code, r1.Body.String(), r4.Code, r4.Body.String())
+	s, _ := testServer(t, WithShards(DefaultShards))
+	if _, out := get(t, s, "/v1/health"); out["shards"].(float64) != 1 {
+		t.Fatalf("health shards = %v, want 1", out["shards"])
 	}
 }
 
-// One corrupt shard must degrade alone: its users answer from the
-// popularity fallback with degraded=true, every other shard keeps
-// full-quality answers, and the server-level health/readiness reflect
-// the partial degradation.
-func TestShardedDegradationIsolationHTTP(t *testing.T) {
-	s, d := testServer(t, WithShards(4))
-	const sick = 1
-	s.disp.SetShardScorer(sick, nil)
-
-	sickUser, healthyUser := -1, -1
-	for user := 0; user < d.NumUsers; user++ {
-		if s.disp.ShardForUser(user) == sick {
-			if sickUser < 0 {
-				sickUser = user
-			}
-		} else if healthyUser < 0 {
-			healthyUser = user
-		}
-	}
-	if sickUser < 0 || healthyUser < 0 {
-		t.Fatalf("users not spread across shards")
-	}
-
-	rr, out := get(t, s, fmt.Sprintf("/v1/recommend?user=%d&k=5", sickUser))
-	if rr.Code != http.StatusOK || out["degraded"] != true {
-		t.Fatalf("sick-shard user: %d %v", rr.Code, out)
-	}
-	rr, out = get(t, s, fmt.Sprintf("/v1/recommend?user=%d&k=5", healthyUser))
-	if rr.Code != http.StatusOK || out["degraded"] != false {
-		t.Fatalf("healthy-shard user must not degrade: %d %v", rr.Code, out)
-	}
-
-	// Batch spanning both shards: per-user degraded flags, top-level OR.
-	body := fmt.Sprintf(`{"users":[%d,%d],"k":5}`, sickUser, healthyUser)
-	rr, out = do(t, s, http.MethodPost, "/v1/recommend:batch", body)
-	if rr.Code != http.StatusOK || out["degraded"] != true {
-		t.Fatalf("mixed batch: %d %v", rr.Code, out)
-	}
-	results := out["results"].([]any)
-	if results[0].(map[string]any)["degraded"] != true {
-		t.Fatalf("sick user's batch entry not flagged: %v", results[0])
-	}
-	if _, flagged := results[1].(map[string]any)["degraded"]; flagged {
-		t.Fatalf("healthy user's batch entry wrongly flagged: %v", results[1])
-	}
-
-	// ANY degraded shard → health degraded, ready 503 naming the shard.
-	rr, out = get(t, s, "/v1/health")
-	if rr.Code != http.StatusOK || out["degraded"] != true {
-		t.Fatalf("health with one sick shard: %d %v", rr.Code, out)
-	}
-	rr, out = get(t, s, "/v1/health/ready")
-	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("ready with one sick shard = %d, want 503", rr.Code)
-	}
-	shards, ok := out["shards"].([]any)
-	if !ok || len(shards) != 1 || shards[0].(float64) != sick {
-		t.Fatalf("ready body must name the degraded shard: %v", out)
-	}
-
-	// Healing the shard restores full health.
-	s.disp.SetShardScorer(sick, testModelOnce.m)
-	rr, out = get(t, s, "/v1/health/ready")
-	if rr.Code != http.StatusOK {
-		t.Fatalf("healed server still not ready: %d %v", rr.Code, out)
-	}
-}
-
-// /v1/stats must publish the request limits and one block per shard.
+// /v1/stats must publish the request limits and the one shard:0 block.
 func TestStatsLimitsAndShardBlocks(t *testing.T) {
-	s, d := testServer(t, WithShards(3))
+	s, d := testServer(t)
 	for user := 0; user < d.NumUsers; user += 4 {
 		get(t, s, fmt.Sprintf("/v1/recommend?user=%d&k=3", user))
 	}
@@ -140,60 +47,55 @@ func TestStatsLimitsAndShardBlocks(t *testing.T) {
 	}
 
 	shards, ok := out["shards"].([]any)
-	if !ok || len(shards) != 3 {
-		t.Fatalf("stats must carry 3 shard blocks: %v", out["shards"])
+	if !ok || len(shards) != 1 {
+		t.Fatalf("stats must carry one shard block: %v", out["shards"])
 	}
-	var requests float64
-	for i, raw := range shards {
-		sh := raw.(map[string]any)
-		if sh["shard"].(float64) != float64(i) {
-			t.Fatalf("shard block %d misnumbered: %v", i, sh)
-		}
-		if sh["degraded"].(bool) {
-			t.Fatalf("healthy shard %d reports degraded", i)
-		}
-		requests += sh["requests"].(float64)
-		if _, ok := sh["cache"].(map[string]any); !ok {
-			t.Fatalf("shard block %d missing cache stats: %v", i, sh)
-		}
+	sh := shards[0].(map[string]any)
+	if sh["shard"].(float64) != 0 {
+		t.Fatalf("shard block misnumbered: %v", sh)
 	}
-	if requests == 0 {
-		t.Fatalf("no shard accounted any requests: %v", shards)
+	if sh["degraded"].(bool) {
+		t.Fatalf("healthy shard reports degraded")
+	}
+	if sh["requests"].(float64) == 0 {
+		t.Fatalf("shard accounted no requests: %v", sh)
+	}
+	if _, ok := sh["cache"].(map[string]any); !ok {
+		t.Fatalf("shard block missing cache stats: %v", sh)
 	}
 }
 
-// /v1/admin/reload must report per shard, and a loader that recovers
-// mid-fleet heals exactly the shards it served.
+// /v1/admin/reload must report its outcome as a one-element shards
+// array (shard 0), calling the loader once.
 func TestReloadReportsPerShardHTTP(t *testing.T) {
 	calls := 0
 	loader := func() (eval.Scorer, error) {
 		calls++
 		return testModelOnce.m, nil
 	}
-	s, _ := testServer(t, WithShards(2), WithLoader(loader), WithReloadPolicy(1, 0))
+	s, _ := testServer(t, WithLoader(loader), WithReloadPolicy(1, 0))
 
 	rr, out := do(t, s, http.MethodPost, "/v1/admin/reload", "")
 	if rr.Code != http.StatusOK || out["status"] != "reloaded" {
 		t.Fatalf("reload: %d %v", rr.Code, out)
 	}
 	shards, ok := out["shards"].([]any)
-	if !ok || len(shards) != 2 {
-		t.Fatalf("reload must report both shards: %v", out)
+	if !ok || len(shards) != 1 {
+		t.Fatalf("reload must report one shard: %v", out)
 	}
-	for i, raw := range shards {
-		sh := raw.(map[string]any)
-		if sh["shard"].(float64) != float64(i) || sh["status"] != "reloaded" || sh["degraded"] != false {
-			t.Fatalf("shard report %d: %v", i, sh)
-		}
+	sh := shards[0].(map[string]any)
+	if sh["shard"].(float64) != 0 || sh["status"] != "reloaded" || sh["degraded"] != false {
+		t.Fatalf("shard report: %v", sh)
 	}
-	if calls != 2 {
-		t.Fatalf("loader called %d times, want once per shard", calls)
+	if calls != 1 {
+		t.Fatalf("loader called %d times, want once", calls)
 	}
 }
 
-// shard_* metrics must appear on /metrics once traffic has flowed.
+// shard_* metrics must appear on /metrics once traffic has flowed,
+// with the single shard="0" series.
 func TestShardMetricsExposition(t *testing.T) {
-	s, d := testServer(t, WithShards(2))
+	s, d := testServer(t)
 	for user := 0; user < d.NumUsers; user += 6 {
 		get(t, s, fmt.Sprintf("/v1/recommend?user=%d&k=3", user))
 	}
@@ -201,14 +103,16 @@ func TestShardMetricsExposition(t *testing.T) {
 	s.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	bodyStr := rr.Body.String()
 	for _, want := range []string{
-		"shard_count 2",
+		"shard_count 1",
 		`shard_requests_total{shard="0"}`,
-		`shard_requests_total{shard="1"}`,
 		`shard_degraded{shard="0"} 0`,
-		"shard_cache_misses_total",
+		`shard_cache_misses_total{shard="0"}`,
 	} {
 		if !strings.Contains(bodyStr, want) {
 			t.Fatalf("/metrics missing %q", want)
 		}
+	}
+	if strings.Contains(bodyStr, `shard="1"`) {
+		t.Fatalf("/metrics carries a second shard series")
 	}
 }

@@ -11,21 +11,20 @@ import (
 )
 
 // DefaultMinRecall is the self-check floor below which a freshly built
-// index is declared recall-suspect and discarded (the shard keeps
+// index is declared recall-suspect and discarded (the dispatcher keeps
 // serving exhaustively).
 const DefaultMinRecall = 0.85
 
-// ErrNoEmbeddings reports that the shard's current scorer has no
+// ErrNoEmbeddings reports that the current scorer has no
 // embedding geometry (it is serving the popularity fallback), so
 // semantic queries — which are defined on the embedding space, not on
 // scores — cannot be answered at all, exactly or approximately.
 var ErrNoEmbeddings = errors.New("shard: scorer has no embedding geometry")
 
-// ANNConfig configures the per-shard approximate index.
+// ANNConfig configures the approximate index.
 type ANNConfig struct {
 	Enabled   bool
 	Index     ann.Config // construction/search parameters (zero fields take ann defaults)
-	MinRecall float64    // self-check floor; <=0 means DefaultMinRecall
 	SyncBuild bool       // build synchronously on scorer swaps (tests; New always builds sync)
 }
 
@@ -96,7 +95,7 @@ type RankInfo struct {
 	Fallback bool
 }
 
-// annState is one shard's frozen approximate view of its scorer: dual
+// annState is the frozen approximate view of its scorer: dual
 // HNSW indexes over the item and user embedding rows plus the
 // VectorScorer they were built from. It rides inside scorerState so an
 // index can never outlive — or be consulted alongside — a scorer it
@@ -109,83 +108,54 @@ type annState struct {
 }
 
 // buildANN freezes sc's embedding matrices into HNSW indexes, then
-// self-checks both; a recall-suspect build returns nil and the caller
-// keeps serving exhaustively. Returns nil when sc has no embedding
-// geometry.
+// self-checks both against DefaultMinRecall; a recall-suspect build
+// returns nil and the caller keeps serving exhaustively. Returns nil
+// when sc has no embedding geometry.
 func buildANN(sc eval.Scorer, cfg ANNConfig) *annState {
 	vs, ok := sc.(eval.VectorScorer)
 	if !ok || vs.Dim() == 0 {
 		return nil
-	}
-	minRecall := cfg.MinRecall
-	if minRecall <= 0 {
-		minRecall = DefaultMinRecall
 	}
 	start := time.Now()
 	items := ann.Build(vs.NumItems(), vs.Dim(), vs.ItemVector, cfg.Index)
 	users := ann.Build(vs.NumUsers(), vs.Dim(), vs.UserVector, cfg.Index)
 	st := &annState{vs: vs, items: items, users: users, buildDur: time.Since(start)}
 	seed := cfg.Index.Seed
-	if ann.SelfCheck(items, seed, 8, 10, 0) < minRecall ||
-		ann.SelfCheck(users, seed, 8, 10, 0) < minRecall {
+	if ann.SelfCheck(items, seed, 8, 10, 0) < DefaultMinRecall ||
+		ann.SelfCheck(users, seed, 8, 10, 0) < DefaultMinRecall {
 		return nil
 	}
 	return st
 }
 
-// attachANN publishes a built index onto sh if — and only if — the
-// shard still serves the state the build started from: a concurrent
-// scorer swap wins the CAS and the stale index is dropped on the floor.
-func (sh *Shard) attachANN(prev *scorerState, a *annState) bool {
+// attachANN publishes a built index if — and only if — the
+// dispatcher still serves the state the build started from: a
+// concurrent scorer swap wins the CAS and the stale index is dropped
+// on the floor.
+func (dp *Dispatcher) attachANN(prev *scorerState, a *annState) {
 	if a == nil {
-		return false
+		return
 	}
 	next := &scorerState{scorer: prev.scorer, degraded: prev.degraded, ann: a}
-	if !sh.cur.CompareAndSwap(prev, next) {
-		return false
+	if !dp.cur.CompareAndSwap(prev, next) {
+		return
 	}
 	// No cache invalidation: the scorer is unchanged, and the index
 	// reproduces its arithmetic exactly.
-	if sh.annBuildG != nil {
-		sh.annBuildG.Set(float64(a.buildDur.Nanoseconds()) / 1e6)
-		sh.annLevelsG.Set(float64(a.items.Levels()))
+	if dp.annBuildG != nil {
+		dp.annBuildG.Set(float64(a.buildDur.Nanoseconds()) / 1e6)
+		dp.annLevelsG.Set(float64(a.items.Levels()))
 	}
-	return true
 }
 
-// spawnANNBuild (re)builds indexes for the freshly swapped states —
-// one shared build when every state carries the same scorer (the
-// SetScorer path), asynchronously unless SyncBuild — and CAS-attaches
-// the result per shard. Shards whose state moved on keep their new
-// state untouched.
-func (dp *Dispatcher) spawnANNBuild(states map[*Shard]*scorerState) {
+// spawnANNBuild (re)builds the index for a freshly swapped state —
+// asynchronously unless SyncBuild — and CAS-attaches it. If the state
+// has moved on by then, the newer state is left untouched.
+func (dp *Dispatcher) spawnANNBuild(st *scorerState) {
 	if !dp.annCfg.Enabled {
 		return
 	}
-	// All states share one scorer instance on the SetScorer path; the
-	// deterministic build makes the shared index identical to per-shard
-	// builds, so build once and attach everywhere.
-	var shared eval.Scorer
-	same := true
-	for _, st := range states {
-		if shared == nil {
-			shared = st.scorer
-		} else if st.scorer != shared {
-			same = false
-		}
-	}
-	build := func() {
-		if same {
-			a := buildANN(shared, dp.annCfg)
-			for sh, st := range states {
-				sh.attachANN(st, a)
-			}
-			return
-		}
-		for sh, st := range states {
-			sh.attachANN(st, buildANN(st.scorer, dp.annCfg))
-		}
-	}
+	build := func() { dp.attachANN(st, buildANN(st.scorer, dp.annCfg)) }
 	if dp.annCfg.SyncBuild {
 		build()
 		return
@@ -234,8 +204,8 @@ func (dp *Dispatcher) annRecommendOn(a *annState, user, k, ef int, q Query) Rank
 	return Ranked{Items: items, Scores: scores}
 }
 
-// ANNStats renders the /v1/stats "ann" block: enabled only when every
-// shard holds a live index, the slowest build, and the deepest graph.
+// ANNStats renders the /v1/stats "ann" block: enabled only while a
+// live index is attached, with its build time and depth.
 func (dp *Dispatcher) ANNStats() api.ANNStats {
 	out := api.ANNStats{Enabled: dp.annCfg.Enabled}
 	ef := dp.annCfg.Index.EfSearch
@@ -243,25 +213,15 @@ func (dp *Dispatcher) ANNStats() api.ANNStats {
 		ef = ann.DefaultEfSearch
 	}
 	out.EfSearch = ef
-	for _, sh := range dp.shards {
-		a := sh.state().ann
-		if a == nil {
-			out.Enabled = false
-			continue
-		}
-		if ms := float64(a.buildDur.Nanoseconds()) / 1e6; ms > out.BuildMS {
-			out.BuildMS = ms
-		}
-		if lv := a.items.Levels(); lv > out.Levels {
-			out.Levels = lv
-		}
+	a := dp.state().ann
+	if a == nil {
+		out.Enabled = false
+		return out
 	}
+	out.BuildMS = float64(a.buildDur.Nanoseconds()) / 1e6
+	out.Levels = a.items.Levels()
 	return out
 }
-
-// ShardANNReady reports whether shard i currently holds a live index
-// (tests and readiness probes).
-func (dp *Dispatcher) ShardANNReady(i int) bool { return dp.shards[i].state().ann != nil }
 
 // Neighbor is one ranked entity from a semantic query: a user or item
 // with its inner-product score against the query point.
@@ -370,10 +330,9 @@ func mergeNeighbors(k int, kinds []string, lists [][]int, scores [][]float64) []
 
 // semanticSearch answers one embedding-space query: rank the entities
 // of the requested kinds nearest to qv, skipping anchors. It runs on
-// the owner shard's current state; an absent index answers exhaustively
-// with Fallback set when ann was requested.
-func (dp *Dispatcher) semanticSearch(sh *Shard, qv []float64, k int, typ string, q Query, skip func(string, int) bool) ([]Neighbor, RankInfo, bool, error) {
-	st := sh.state()
+// the state st the request pinned; an absent index answers
+// exhaustively with Fallback set when ann was requested.
+func (dp *Dispatcher) semanticSearch(st *scorerState, qv []float64, k int, typ string, q Query, skip func(string, int) bool) ([]Neighbor, RankInfo, bool, error) {
 	degraded := st.degraded
 	vs, ok := st.scorer.(eval.VectorScorer)
 	if !ok {

@@ -49,12 +49,11 @@ func (v *vecScorer) Dim() int                   { return v.dim }
 func (v *vecScorer) UserVector(u int) []float64 { return v.uv[u*v.dim : (u+1)*v.dim] }
 func (v *vecScorer) ItemVector(i int) []float64 { return v.iv[i*v.dim : (i+1)*v.dim] }
 
-func annDispatcher(t testing.TB, shards int, sc eval.Scorer) (*Dispatcher, int) {
+func annDispatcher(t testing.TB, sc eval.Scorer) (*Dispatcher, int) {
 	t.Helper()
 	d := testData(t)
 	csr := d.CSR()
 	dp := New(Config{
-		Shards:   shards,
 		Dataset:  d,
 		CSR:      csr,
 		Fallback: eval.Popularity(d, csr),
@@ -66,42 +65,40 @@ func annDispatcher(t testing.TB, shards int, sc eval.Scorer) (*Dispatcher, int) 
 
 // The tentpole parity pin: ann-mode recommend against the exact
 // ranking at K ∈ {10, 50, 100}, mean recall across every user ≥ 0.95
-// (the acceptance floor), at one and at several shards.
+// (the acceptance floor).
 func TestANNRecommendParity(t *testing.T) {
 	d := testData(t)
 	sc := newVecScorer(d.NumUsers, d.NumItems, 24, 5)
 	ctx := context.Background()
-	for _, shards := range []int{1, 3} {
-		dp, users := annDispatcher(t, shards, sc)
-		for _, k := range []int{10, 50, 100} {
-			var total float64
-			for u := 0; u < users; u++ {
-				exact, info, _ := dp.Recommend(ctx, u, k, Query{})
-				if info.Mode != api.ModeExact || info.Fallback {
-					t.Fatalf("exact request reported %+v", info)
-				}
-				got, info, _ := dp.Recommend(ctx, u, k, Query{Mode: api.ModeANN})
-				if info.Mode != api.ModeANN || info.Fallback {
-					t.Fatalf("ann request reported %+v", info)
-				}
-				if info.EF < k {
-					t.Fatalf("effective ef %d below k %d", info.EF, k)
-				}
-				// ANN scores must be the exact scorer's values for the
-				// items it returns.
-				scores := make([]float64, d.NumItems)
-				sc.ScoreItems(u, scores)
-				for i, it := range got.Items {
-					if got.Scores[i] != scores[it] {
-						t.Fatalf("user %d item %d: ann score %v != exact %v",
-							u, it, got.Scores[i], scores[it])
-					}
-				}
-				total += eval.Overlap(exact.Items, got.Items)
+	dp, users := annDispatcher(t, sc)
+	for _, k := range []int{10, 50, 100} {
+		var total float64
+		for u := 0; u < users; u++ {
+			exact, info, _ := dp.Recommend(ctx, u, k, Query{})
+			if info.Mode != api.ModeExact || info.Fallback {
+				t.Fatalf("exact request reported %+v", info)
 			}
-			if avg := total / float64(users); avg < 0.95 {
-				t.Fatalf("shards=%d: mean recall@%d = %.3f, want >= 0.95", shards, k, avg)
+			got, info, _ := dp.Recommend(ctx, u, k, Query{Mode: api.ModeANN})
+			if info.Mode != api.ModeANN || info.Fallback {
+				t.Fatalf("ann request reported %+v", info)
 			}
+			if info.EF < k {
+				t.Fatalf("effective ef %d below k %d", info.EF, k)
+			}
+			// ANN scores must be the exact scorer's values for the
+			// items it returns.
+			scores := make([]float64, d.NumItems)
+			sc.ScoreItems(u, scores)
+			for i, it := range got.Items {
+				if got.Scores[i] != scores[it] {
+					t.Fatalf("user %d item %d: ann score %v != exact %v",
+						u, it, got.Scores[i], scores[it])
+				}
+			}
+			total += eval.Overlap(exact.Items, got.Items)
+		}
+		if avg := total / float64(users); avg < 0.95 {
+			t.Fatalf("mean recall@%d = %.3f, want >= 0.95", k, avg)
 		}
 	}
 }
@@ -111,12 +108,12 @@ func TestANNRecommendParity(t *testing.T) {
 // failing or silently degrading.
 func TestANNFallbackWithoutVectors(t *testing.T) {
 	d := testData(t)
-	dp, _ := annDispatcher(t, 2, &fakeScorer{n: d.NumItems})
+	dp, _ := annDispatcher(t, &fakeScorer{n: d.NumItems})
 	ctx := context.Background()
 	exact, _, _ := dp.Recommend(ctx, 3, 10, Query{})
 	got, info, degraded := dp.Recommend(ctx, 3, 10, Query{Mode: api.ModeANN})
 	if degraded {
-		t.Fatalf("healthy shard reported degraded")
+		t.Fatalf("healthy scorer reported degraded")
 	}
 	if info.Mode != api.ModeExact || !info.Fallback {
 		t.Fatalf("fallback not reported: %+v", info)
@@ -134,7 +131,7 @@ func TestANNFallbackWithoutVectors(t *testing.T) {
 func TestANNSimilarParity(t *testing.T) {
 	d := testData(t)
 	sc := newVecScorer(d.NumUsers, d.NumItems, 24, 5)
-	dp, _ := annDispatcher(t, 2, sc)
+	dp, _ := annDispatcher(t, sc)
 	ctx := context.Background()
 	probes := []int{1, 7, 13, 22}
 	var total, n float64
@@ -163,13 +160,13 @@ func TestANNSimilarParity(t *testing.T) {
 	}
 }
 
-// Batch fan-out propagates the mode to every shard: each user's row
+// Batch fan-out propagates the mode to every user: each user's row
 // matches the single-request ann ranking, and the batch-wide info
 // reports ann with no fallback.
 func TestANNBatchModePropagation(t *testing.T) {
 	d := testData(t)
 	sc := newVecScorer(d.NumUsers, d.NumItems, 24, 5)
-	dp, _ := annDispatcher(t, 3, sc)
+	dp, _ := annDispatcher(t, sc)
 	ctx := context.Background()
 	users := []int{0, 5, 9, 14, 23, 31, 42}
 	batch, perUser, info := dp.RecommendBatch(ctx, users, 10, Query{Mode: api.ModeANN})
@@ -192,7 +189,7 @@ func TestANNBatchModePropagation(t *testing.T) {
 func TestANNRebuildOnSwap(t *testing.T) {
 	d := testData(t)
 	sc := newVecScorer(d.NumUsers, d.NumItems, 24, 5)
-	dp, _ := annDispatcher(t, 2, sc)
+	dp, _ := annDispatcher(t, sc)
 	ctx := context.Background()
 	before, info, _ := dp.Recommend(ctx, 8, 25, Query{Mode: api.ModeANN})
 	if info.Fallback {
@@ -200,10 +197,8 @@ func TestANNRebuildOnSwap(t *testing.T) {
 	}
 	// Same scorer swapped back in (SyncBuild): deterministic rebuild.
 	dp.SetScorer(sc)
-	for i := 0; i < dp.NumShards(); i++ {
-		if !dp.ShardANNReady(i) {
-			t.Fatalf("shard %d lost its index after SetScorer", i)
-		}
+	if !dp.ANNStats().Enabled {
+		t.Fatalf("index lost after SetScorer")
 	}
 	after, info, _ := dp.Recommend(ctx, 8, 25, Query{Mode: api.ModeANN})
 	if info.Fallback {
@@ -212,20 +207,17 @@ func TestANNRebuildOnSwap(t *testing.T) {
 	if !rankedEqual(before, after) {
 		t.Fatalf("rebuild at fixed seed changed the ann ranking")
 	}
-	// Vectorless swap: index dropped, per-shard.
-	dp.SetShardScorer(0, &fakeScorer{n: d.NumItems})
-	if dp.ShardANNReady(0) {
-		t.Fatalf("shard 0 kept an index across a vectorless swap")
-	}
-	if !dp.ShardANNReady(1) {
-		t.Fatalf("shard 1 lost its index on a sibling swap")
+	// Vectorless swap: index dropped.
+	dp.SetScorer(&fakeScorer{n: d.NumItems})
+	if dp.ANNStats().Enabled {
+		t.Fatalf("index kept across a vectorless swap")
 	}
 }
 
 func TestNearestAndAnalogy(t *testing.T) {
 	d := testData(t)
 	sc := newVecScorer(d.NumUsers, d.NumItems, 24, 5)
-	dp, _ := annDispatcher(t, 2, sc)
+	dp, _ := annDispatcher(t, sc)
 	ctx := context.Background()
 
 	anchor := api.EntityRef{Kind: api.KindItem, ID: 12}
@@ -321,21 +313,21 @@ func TestNearestAndAnalogy(t *testing.T) {
 // Semantic queries need embedding geometry: a dispatcher serving the
 // popularity fallback answers ErrNoEmbeddings, not a bogus ranking.
 func TestNearestNoEmbeddings(t *testing.T) {
-	dp, _ := annDispatcher(t, 2, nil) // boots degraded on the popularity prior
+	dp, _ := annDispatcher(t, nil) // boots degraded on the popularity prior
 	_, _, degraded, err := dp.Nearest(context.Background(),
 		api.EntityRef{Kind: api.KindItem, ID: 1}, 5, "", Query{})
 	if err != ErrNoEmbeddings {
 		t.Fatalf("err = %v, want ErrNoEmbeddings", err)
 	}
 	if !degraded {
-		t.Fatalf("degraded flag not set on fallback shard")
+		t.Fatalf("degraded flag not set on the popularity fallback")
 	}
 }
 
 func TestANNStatsBlock(t *testing.T) {
 	d := testData(t)
 	sc := newVecScorer(d.NumUsers, d.NumItems, 24, 5)
-	dp, _ := annDispatcher(t, 2, sc)
+	dp, _ := annDispatcher(t, sc)
 	st := dp.ANNStats()
 	if !st.Enabled || st.Levels < 1 || st.EfSearch < 1 {
 		t.Fatalf("ann stats = %+v", st)
@@ -343,7 +335,7 @@ func TestANNStatsBlock(t *testing.T) {
 	// Disabled config reports disabled regardless of scorer.
 	dOff := testData(t)
 	csr := dOff.CSR()
-	off := New(Config{Shards: 1, Dataset: dOff, CSR: csr,
+	off := New(Config{Dataset: dOff, CSR: csr,
 		Fallback: eval.Popularity(dOff, csr), Scorer: sc})
 	if off.ANNStats().Enabled {
 		t.Fatalf("disabled ann reports enabled")

@@ -8,13 +8,13 @@ import (
 	"repro/internal/obs"
 )
 
-// ScoreCache is an LRU cache of per-user score vectors, one instance
-// per shard so each shard's working set and lock are independent.
-// Trained embeddings are fixed at serving time, so a user's
-// full-catalog score vector is immutable between retrains — exactly
-// the property that makes it cacheable. Cached slices are shared
-// across requests and must be treated as read-only; callers that need
-// to mutate (e.g. to mask training positives) copy first.
+// ScoreCache is an LRU cache of per-user score vectors, owned by the
+// dispatcher's serving state. Trained embeddings are fixed at serving
+// time, so a user's full-catalog score vector is immutable between
+// retrains — exactly the property that makes it cacheable. Cached
+// slices are shared across requests and must be treated as read-only;
+// callers that need to mutate (e.g. to mask training positives) copy
+// first.
 type ScoreCache struct {
 	mu     sync.Mutex
 	cap    int

@@ -1,37 +1,29 @@
-// Package shard partitions serving across N in-process scorer
-// replicas behind one dispatcher, the horizontal-scale step between
-// "one process, one scorer" and a multi-process deployment (ROADMAP
-// item 2). Users and items are placed on shards by rendezvous hashing
-// of their CKG entity IDs (hash.go), so ownership is deterministic,
-// balanced, and stable under shard-count changes. Single-entity
-// requests (recommend, similar, explain) route to the owning shard;
-// recommend:batch fans out across the owning shards of its users with
-// bounded concurrency and the per-user rankings merge back
-// deterministically in request order.
+// Package shard holds one process's serving state behind a dispatcher:
+// the hot-swappable scorer behind an atomic pointer, the LRU
+// score-vector cache with its invalidation generation, the path-finder
+// pool, inflight/request accounting and the degraded flag. Every
+// in-process request routes through the one state; recommend:batch and
+// the /similar probe aggregation still fan out on a bounded pool, which
+// is request parallelism, not sharding.
 //
-// Each shard owns its own serving state — hot-swappable scorer behind
-// an atomic pointer, LRU score-vector cache with an invalidation
-// generation, path-finder pool, inflight/request accounting, and a
-// degraded flag — so one shard with a corrupt or missing model
-// degrades alone (answering from the shared popularity fallback with
-// degraded=true) while every other shard keeps serving at full
-// quality. Per-shard hot reload rides the same scorer-swap +
-// cache-generation path the single-scorer server used.
+// Multi-shard serving is cmd/router's job: it places users and items
+// on whole serve processes by rendezvous hashing of their CKG entity
+// IDs (hash.go), so every backend holds exactly this one state. The
+// wire surface keeps its shard vocabulary — /v1/health reports
+// "shards":1, /v1/stats and /v1/admin/reload carry one shard:0 block,
+// and /metrics exports the shard_* families with a single shard="0"
+// series — so the router's merges read a backend as one shard.
 //
-// With Shards=1 the dispatcher is bit-identical to the historical
-// single-scorer path: same cache, same mask, same TopK tie-breaks,
-// same span structure. The shape deliberately follows the mgpusim
-// driver/dispatcher/command-processor split: a thin dispatcher routes
-// work items to devices (shards) that own their local state.
+// A scorer swap (SetScorer, Reload) publishes a new state and
+// invalidates the cache; a state with no trained scorer answers from
+// the popularity fallback with degraded=true instead of failing.
 package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,8 +35,8 @@ import (
 	"repro/internal/serve/api"
 )
 
-// DefaultCacheSize is the total score-vector cache capacity divided
-// across shards when Config.CacheSize is unset.
+// DefaultCacheSize is the score-vector cache capacity when
+// Config.CacheSize is unset.
 const DefaultCacheSize = 4096
 
 // explain limits, identical to the historical handler constants.
@@ -54,8 +46,12 @@ const (
 	explainPerPair  = 2
 )
 
-// scorerState is one shard's atomically-swapped serving state. ann is
-// the approximate index built from (and only ever consulted alongside)
+// shardLabel is the one value of the shard label on the shard_*
+// metric families: the process serves a single state, shard 0.
+const shardLabel = "0"
+
+// scorerState is the atomically-swapped serving state. ann is the
+// approximate index built from (and only ever consulted alongside)
 // this exact scorer; nil while absent, still building, or discarded as
 // recall-suspect — ann-mode requests then fall back to exhaustive
 // scoring.
@@ -65,93 +61,23 @@ type scorerState struct {
 	ann      *annState
 }
 
-// Shard is one scorer replica: private scorer state, score cache,
-// path-finder pool, and accounting. All routing goes through the
-// Dispatcher; a Shard never reaches into its siblings.
-type Shard struct {
-	id  int
-	cur atomic.Pointer[scorerState]
-
-	cache   *ScoreCache
-	pathers sync.Pool
-
-	inflight atomic.Int64
-	requests atomic.Uint64
-
-	// Registered mirrors; nil until Dispatcher.Register, which must be
-	// called before traffic starts.
-	inflightG  *obs.Gauge
-	degradedG  *obs.Gauge
-	requestsC  *obs.Counter
-	annBuildG  *obs.Gauge
-	annLevelsG *obs.Gauge
-}
-
-func (sh *Shard) state() *scorerState { return sh.cur.Load() }
-
-// setState swaps the shard's scorer, invalidates its cache (the
-// generation counter discards racing fills, exactly as on the
-// single-scorer path), and syncs the degraded gauge. The swap always
-// publishes with a nil index — a rebuild (spawnANNBuild) CAS-attaches
-// one later, so a stale index can never serve against a new scorer.
-// Returns the stored state so the rebuild can anchor its CAS.
-func (sh *Shard) setState(sc eval.Scorer, fallback eval.Scorer) *scorerState {
-	st := &scorerState{scorer: sc, degraded: false}
-	if sc == nil {
-		st = &scorerState{scorer: fallback, degraded: true}
-	}
-	sh.cur.Store(st)
-	// Invalidate AFTER the swap: fills that start after the invalidate
-	// observe the new scorer through the atomic pointer.
-	sh.cache.Invalidate()
-	if sh.degradedG != nil {
-		if sh.state().degraded {
-			sh.degradedG.Set(1)
-		} else {
-			sh.degradedG.Set(0)
-		}
-	}
-	return st
-}
-
-// begin/end bracket one routed request (or fan-out task) on the shard.
-func (sh *Shard) begin() {
-	sh.inflight.Add(1)
-	sh.requests.Add(1)
-	if sh.inflightG != nil {
-		sh.inflightG.Inc()
-	}
-	if sh.requestsC != nil {
-		sh.requestsC.Inc()
-	}
-}
-
-func (sh *Shard) end() {
-	sh.inflight.Add(-1)
-	if sh.inflightG != nil {
-		sh.inflightG.Dec()
-	}
-}
-
 // Config assembles a Dispatcher.
 type Config struct {
-	Shards    int // scorer replicas; <=0 means 1
-	CacheSize int // total cached score vectors, divided across shards
-	Workers   int // fan-out concurrency bound; <=0 means GOMAXPROCS
+	CacheSize int // cached score vectors; <=0 means DefaultCacheSize
 
 	Dataset  *dataset.Dataset
 	CSR      *graph.CSR
 	Fallback *eval.PopularityScorer
-	Scorer   eval.Scorer // initial scorer; nil boots every shard degraded
+	Scorer   eval.Scorer // initial scorer; nil boots degraded
 
-	// ANN configures the per-shard approximate index. When enabled and
-	// the initial scorer exposes embedding vectors, New builds the
-	// index synchronously — the snapshot-load freeze — while scorer
-	// swaps rebuild asynchronously behind a CAS attach.
+	// ANN configures the approximate index. When enabled and the
+	// initial scorer exposes embedding vectors, New builds the index
+	// synchronously — the snapshot-load freeze — while scorer swaps
+	// rebuild asynchronously behind a CAS attach.
 	ANN ANNConfig
 }
 
-// Dispatcher routes /v1 work onto its shards.
+// Dispatcher routes /v1 work onto the process's serving state.
 type Dispatcher struct {
 	d *dataset.Dataset
 	// csr is the published frozen graph. Live ingestion swaps it via
@@ -160,24 +86,32 @@ type Dispatcher struct {
 	csr      atomic.Pointer[graph.CSR]
 	graphGen atomic.Uint64
 	fallback *eval.PopularityScorer
-	shards   []*Shard
-	sem      chan struct{} // bounded pool for cross-shard fan-out
+	sem      chan struct{} // bounded pool for batch and probe fan-out
+
+	cur     atomic.Pointer[scorerState]
+	cache   *ScoreCache
+	pathers sync.Pool
+
+	inflight atomic.Int64
+	requests atomic.Uint64
 
 	// scoreBufs recycles the per-request NumItems-wide scratch
 	// (ranking masks train items in place, so it cannot rank straight
 	// off a shared cached vector).
 	scoreBufs sync.Pool
 
-	// Precomputed owners: entity-ID rendezvous hashing evaluated once
-	// at construction, so the hot path is one slice read.
-	userOwner []int32
-	itemOwner []int32
-
 	annCfg ANNConfig
 
-	fanout       *obs.Histogram    // nil until Register
-	rankLatency  *obs.HistogramVec // per-mode ranking latency, nil until Register
-	annFallbacks *obs.Counter      // nil until Register
+	// Registered mirrors; nil until Register, which must be called
+	// before traffic starts.
+	inflightG    *obs.Gauge
+	degradedG    *obs.Gauge
+	requestsC    *obs.Counter
+	annBuildG    *obs.Gauge
+	annLevelsG   *obs.Gauge
+	fanout       *obs.Histogram
+	rankLatency  *obs.HistogramVec // per-mode ranking latency
+	annFallbacks *obs.Counter
 }
 
 // countANNFallback bumps the ann_fallback_total counter when an ann
@@ -201,73 +135,88 @@ func New(cfg Config) *Dispatcher {
 	if cfg.Dataset == nil || cfg.CSR == nil || cfg.Fallback == nil {
 		panic("shard.New: Dataset, CSR, and Fallback are required")
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = 1
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	cacheSize := cfg.CacheSize
 	if cacheSize <= 0 {
 		cacheSize = DefaultCacheSize
-	}
-	perShard := (cacheSize + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
 	}
 
 	dp := &Dispatcher{
 		d:        cfg.Dataset,
 		fallback: cfg.Fallback,
-		shards:   make([]*Shard, n),
-		sem:      make(chan struct{}, workers),
+		sem:      make(chan struct{}, runtime.GOMAXPROCS(0)),
+		annCfg:   cfg.ANN,
 	}
 	dp.csr.Store(cfg.CSR)
 	dp.scoreBufs = sync.Pool{New: func() any { return make([]float64, cfg.Dataset.NumItems) }}
-
-	for i := range dp.shards {
-		sh := &Shard{id: i}
-		sh.cache = NewScoreCache(perShard, cfg.Dataset.NumItems, func(ctx context.Context, user int, out []float64) {
-			_, sp := obs.StartSpan(ctx, "scorer.score")
-			sp.SetAttrInt("user", user)
-			sh.state().scorer.ScoreItems(user, out)
-			sp.End()
-		})
-		sh.pathers = sync.Pool{New: func() any {
-			c := dp.csr.Load()
-			return &pather{csr: c, pf: c.PathFinder()}
-		}}
-		if cfg.Scorer == nil {
-			sh.cur.Store(&scorerState{scorer: dp.fallback, degraded: true})
-		} else {
-			sh.cur.Store(&scorerState{scorer: cfg.Scorer, degraded: false})
-		}
-		dp.shards[i] = sh
-	}
-
-	dp.userOwner = make([]int32, cfg.Dataset.NumUsers)
-	for u, ent := range cfg.Dataset.UserEnt {
-		dp.userOwner[u] = int32(Owner(UserKey(ent), n))
-	}
-	dp.itemOwner = make([]int32, cfg.Dataset.NumItems)
-	for it, ent := range cfg.Dataset.ItemEnt {
-		dp.itemOwner[it] = int32(Owner(ItemKey(ent), n))
+	dp.cache = NewScoreCache(cacheSize, cfg.Dataset.NumItems, func(ctx context.Context, user int, out []float64) {
+		_, sp := obs.StartSpan(ctx, "scorer.score")
+		sp.SetAttrInt("user", user)
+		dp.state().scorer.ScoreItems(user, out)
+		sp.End()
+	})
+	dp.pathers = sync.Pool{New: func() any {
+		c := dp.csr.Load()
+		return &pather{csr: c, pf: c.PathFinder()}
+	}}
+	if cfg.Scorer == nil {
+		dp.cur.Store(&scorerState{scorer: dp.fallback, degraded: true})
+	} else {
+		dp.cur.Store(&scorerState{scorer: cfg.Scorer})
 	}
 
 	// Snapshot-load freeze: the initial index builds synchronously, so
 	// a dispatcher constructed from a snapshot serves ann from its
 	// first request — only later hot swaps rebuild in the background.
-	dp.annCfg = cfg.ANN
 	if cfg.ANN.Enabled && cfg.Scorer != nil {
-		if a := buildANN(cfg.Scorer, dp.annCfg); a != nil {
-			for _, sh := range dp.shards {
-				sh.attachANN(sh.state(), a)
-			}
-		}
+		dp.attachANN(dp.state(), buildANN(cfg.Scorer, dp.annCfg))
 	}
 	return dp
+}
+
+func (dp *Dispatcher) state() *scorerState { return dp.cur.Load() }
+
+// setState swaps the scorer, invalidates the cache (the generation
+// counter discards racing fills), and syncs the degraded gauge. The
+// swap always publishes with a nil index — a rebuild (spawnANNBuild)
+// CAS-attaches one later, so a stale index can never serve against a
+// new scorer. Returns the stored state so the rebuild can anchor its
+// CAS.
+func (dp *Dispatcher) setState(sc eval.Scorer) *scorerState {
+	st := &scorerState{scorer: sc}
+	if sc == nil {
+		st = &scorerState{scorer: dp.fallback, degraded: true}
+	}
+	dp.cur.Store(st)
+	// Invalidate AFTER the swap: fills that start after the invalidate
+	// observe the new scorer through the atomic pointer.
+	dp.cache.Invalidate()
+	if dp.degradedG != nil {
+		if st.degraded {
+			dp.degradedG.Set(1)
+		} else {
+			dp.degradedG.Set(0)
+		}
+	}
+	return st
+}
+
+// begin/end bracket one routed request.
+func (dp *Dispatcher) begin() {
+	dp.inflight.Add(1)
+	dp.requests.Add(1)
+	if dp.inflightG != nil {
+		dp.inflightG.Inc()
+	}
+	if dp.requestsC != nil {
+		dp.requestsC.Inc()
+	}
+}
+
+func (dp *Dispatcher) end() {
+	dp.inflight.Add(-1)
+	if dp.inflightG != nil {
+		dp.inflightG.Dec()
+	}
 }
 
 // pather pins a pooled PathFinder to the CSR it walks, so a graph
@@ -277,23 +226,20 @@ type pather struct {
 	pf  *graph.PathFinder
 }
 
-// SetGraph publishes a new frozen CSR (an overlay compaction) to every
-// shard. It rides the same visibility machinery a scorer swap uses:
-// one atomic store, a generation bump, and a cache invalidation per
-// shard, so racing fills against the old graph are discarded. Pooled
-// path finders pinned to the old CSR are replaced lazily as Explain
-// checks them out. The popularity fallback keeps its construction-time
-// graph — an accepted staleness, since it only serves degraded
-// answers over base items.
+// SetGraph publishes a new frozen CSR (an overlay compaction). It
+// rides the same visibility machinery a scorer swap uses: one atomic
+// store, a generation bump, and a cache invalidation, so racing fills
+// against the old graph are discarded. Pooled path finders pinned to
+// the old CSR are replaced lazily as Explain checks them out. The
+// popularity fallback keeps its construction-time graph — an accepted
+// staleness, since it only serves degraded answers over base items.
 func (dp *Dispatcher) SetGraph(c *graph.CSR) {
 	if c == nil {
 		return
 	}
 	dp.csr.Store(c)
 	dp.graphGen.Add(1)
-	for _, sh := range dp.shards {
-		sh.cache.Invalidate()
-	}
+	dp.cache.Invalidate()
 }
 
 // Graph returns the currently published frozen CSR.
@@ -302,125 +248,68 @@ func (dp *Dispatcher) Graph() *graph.CSR { return dp.csr.Load() }
 // GraphGeneration counts SetGraph publications since construction.
 func (dp *Dispatcher) GraphGeneration() uint64 { return dp.graphGen.Load() }
 
-// NumShards reports the replica count.
-func (dp *Dispatcher) NumShards() int { return len(dp.shards) }
+// Degraded reports whether the dispatcher is serving the popularity
+// fallback.
+func (dp *Dispatcher) Degraded() bool { return dp.state().degraded }
 
-// ShardForUser returns the shard owning user's serving state.
-func (dp *Dispatcher) ShardForUser(user int) int { return int(dp.userOwner[user]) }
-
-// ShardForItem returns the shard owning item-rooted requests.
-func (dp *Dispatcher) ShardForItem(item int) int { return int(dp.itemOwner[item]) }
-
-// Degraded reports whether ANY shard is serving the popularity
-// fallback. With one shard this is the historical global flag.
-func (dp *Dispatcher) Degraded() bool {
-	for _, sh := range dp.shards {
-		if sh.state().degraded {
-			return true
-		}
-	}
-	return false
-}
-
-// DegradedShards lists the IDs of shards currently degraded.
-func (dp *Dispatcher) DegradedShards() []int {
-	var ids []int
-	for _, sh := range dp.shards {
-		if sh.state().degraded {
-			ids = append(ids, sh.id)
-		}
-	}
-	return ids
-}
-
-// ShardDegraded reports one shard's flag.
-func (dp *Dispatcher) ShardDegraded(i int) bool { return dp.shards[i].state().degraded }
-
-// SetScorer swaps every shard to sc (nil degrades all to the
-// popularity fallback), invalidating each shard's cache. With ANN
-// enabled the index rebuilds once for the shared scorer and attaches
-// to every shard whose state has not moved on; requests served in the
-// window answer exhaustively with ranking.fallback=true.
+// SetScorer swaps the scorer to sc (nil degrades to the popularity
+// fallback), invalidating the cache. With ANN enabled the index
+// rebuilds for the new scorer; requests served in the window answer
+// exhaustively with ranking.fallback=true.
 func (dp *Dispatcher) SetScorer(sc eval.Scorer) {
-	states := make(map[*Shard]*scorerState, len(dp.shards))
-	for _, sh := range dp.shards {
-		states[sh] = sh.setState(sc, dp.fallback)
-	}
+	st := dp.setState(sc)
 	if sc != nil {
-		dp.spawnANNBuild(states)
+		dp.spawnANNBuild(st)
 	}
 }
 
-// SetShardScorer swaps exactly one shard's scorer, leaving its
-// siblings — and their caches — untouched. A nil scorer degrades only
-// that shard; otherwise the shard's index rebuilds in the background.
-func (dp *Dispatcher) SetShardScorer(i int, sc eval.Scorer) {
-	sh := dp.shards[i]
-	st := sh.setState(sc, dp.fallback)
-	if sc != nil {
-		dp.spawnANNBuild(map[*Shard]*scorerState{sh: st})
+// Invalidate drops the cached score vectors.
+func (dp *Dispatcher) Invalidate() { dp.cache.Invalidate() }
+
+// CacheStats reports the score cache's hit/miss/entry accounting.
+func (dp *Dispatcher) CacheStats() (hits, misses uint64, entries int) { return dp.cache.Stats() }
+
+// Stats renders the serving state's /v1/stats shard block (shard 0).
+func (dp *Dispatcher) Stats() api.ShardStats {
+	h, m, e := dp.cache.Stats()
+	var rate float64
+	if h+m > 0 {
+		rate = float64(h) / float64(h+m)
+	}
+	return api.ShardStats{
+		Degraded: dp.state().degraded,
+		Inflight: dp.inflight.Load(),
+		Requests: dp.requests.Load(),
+		Cache: api.CacheStats{
+			Hits: h, Misses: m, HitRate: rate,
+			Entries: e, Cap: dp.cache.Cap(),
+		},
 	}
 }
 
-// Invalidate drops every shard's cached score vectors.
-func (dp *Dispatcher) Invalidate() {
-	for _, sh := range dp.shards {
-		sh.cache.Invalidate()
-	}
-}
-
-// CacheStats aggregates hit/miss/entry accounting across shards.
-func (dp *Dispatcher) CacheStats() (hits, misses uint64, entries int) {
-	for _, sh := range dp.shards {
-		h, m, e := sh.cache.Stats()
-		hits += h
-		misses += m
-		entries += e
-	}
-	return hits, misses, entries
-}
-
-// Stats renders the per-shard /v1/stats block.
-func (dp *Dispatcher) Stats() []api.ShardStats {
-	out := make([]api.ShardStats, len(dp.shards))
-	for i, sh := range dp.shards {
-		h, m, e := sh.cache.Stats()
-		var rate float64
-		if h+m > 0 {
-			rate = float64(h) / float64(h+m)
-		}
-		out[i] = api.ShardStats{
-			Shard:    sh.id,
-			Degraded: sh.state().degraded,
-			Inflight: sh.inflight.Load(),
-			Requests: sh.requests.Load(),
-			Cache: api.CacheStats{
-				Hits: h, Misses: m, HitRate: rate,
-				Entries: e, Cap: sh.cache.Cap(),
-			},
-		}
-	}
-	return out
-}
-
-// Register installs the shard_* instrument families on reg: shard
-// count, per-shard inflight/degraded/request/cache series (bounded
-// cardinality: one label value per shard), and the fan-out latency
-// histogram. Must be called before serving starts.
+// Register installs the shard_* instrument families on reg — the
+// constant shard count, the inflight/degraded/request/cache series
+// under the single shard="0" label, and the fan-out latency histogram
+// — plus the graph and ann gauges. Must be called before serving
+// starts.
 func (dp *Dispatcher) Register(reg *obs.Registry) {
 	reg.NewGaugeFunc("shard_count",
 		"Scorer shards behind the dispatcher.",
-		func() float64 { return float64(len(dp.shards)) })
-	inflight := reg.NewGaugeVec("shard_inflight_requests",
-		"Requests currently routed into each shard.", "shard")
-	degraded := reg.NewGaugeVec("shard_degraded",
-		"1 when the shard serves the popularity fallback, 0 with a trained scorer.", "shard")
-	requests := reg.NewCounterVec("shard_requests_total",
-		"Requests and fan-out tasks routed to each shard.", "shard")
+		func() float64 { return 1 })
+	dp.inflightG = reg.NewGaugeVec("shard_inflight_requests",
+		"Requests currently routed into each shard.", "shard").With(shardLabel)
+	dp.degradedG = reg.NewGaugeVec("shard_degraded",
+		"1 when the shard serves the popularity fallback, 0 with a trained scorer.", "shard").With(shardLabel)
+	if dp.state().degraded {
+		dp.degradedG.Set(1)
+	}
+	dp.requestsC = reg.NewCounterVec("shard_requests_total",
+		"Requests and fan-out tasks routed to each shard.", "shard").With(shardLabel)
 	hits := reg.NewCounterVec("shard_cache_hits_total",
 		"Per-shard score-vector cache hits.", "shard")
 	misses := reg.NewCounterVec("shard_cache_misses_total",
 		"Per-shard score-vector cache misses.", "shard")
+	dp.cache.CountInto(hits.With(shardLabel), misses.With(shardLabel))
 	dp.fanout = reg.NewHistogram("shard_fanout_duration_ms",
 		"Cross-shard fan-out latency (recommend:batch, similar probes) in milliseconds.", nil)
 	reg.NewGaugeFunc("graph_generation",
@@ -443,36 +332,23 @@ func (dp *Dispatcher) Register(reg *obs.Registry) {
 	reg.NewGaugeFunc("ann_ef_search",
 		"Configured default ann search breadth.",
 		func() float64 { return float64(dp.ANNStats().EfSearch) })
-	annBuild := reg.NewGaugeVec("ann_build_duration_ms",
-		"Wall time of the shard's last successful index build.", "shard")
-	annLevels := reg.NewGaugeVec("ann_levels",
-		"Layer count of the shard's item index.", "shard")
+	dp.annBuildG = reg.NewGaugeVec("ann_build_duration_ms",
+		"Wall time of the shard's last successful index build.", "shard").With(shardLabel)
+	dp.annLevelsG = reg.NewGaugeVec("ann_levels",
+		"Layer count of the shard's item index.", "shard").With(shardLabel)
+	if a := dp.state().ann; a != nil {
+		dp.annBuildG.Set(float64(a.buildDur.Nanoseconds()) / 1e6)
+		dp.annLevelsG.Set(float64(a.items.Levels()))
+	}
 	dp.annFallbacks = reg.NewCounter("ann_fallback_total",
 		"ann-mode requests answered exhaustively (index absent, building, or recall-suspect).")
 	dp.rankLatency = reg.NewHistogramVec("shard_rank_duration_ms",
 		"Ranking latency by scoring mode (exact/ann) in milliseconds.", nil, "mode")
-	for _, sh := range dp.shards {
-		id := strconv.Itoa(sh.id)
-		sh.inflightG = inflight.With(id)
-		sh.degradedG = degraded.With(id)
-		if sh.state().degraded {
-			sh.degradedG.Set(1)
-		}
-		sh.requestsC = requests.With(id)
-		sh.cache.CountInto(hits.With(id), misses.With(id))
-		sh.annBuildG = annBuild.With(id)
-		sh.annLevelsG = annLevels.With(id)
-		if a := sh.state().ann; a != nil {
-			sh.annBuildG.Set(float64(a.buildDur.Nanoseconds()) / 1e6)
-			sh.annLevelsG.Set(float64(a.items.Levels()))
-		}
-	}
 }
 
 // Ranked is a ranking slice: Items[i] is the i-th best item and
-// Scores[i] its raw model score. Lists are ordered by score descending
-// with ties broken toward the smaller item ID — the package-wide merge
-// contract.
+// Scores[i] its raw model score, ordered by score descending with ties
+// broken toward the smaller item ID.
 type Ranked struct {
 	Items  []int
 	Scores []float64
@@ -488,55 +364,11 @@ func rankedFrom(scores []float64, k int) Ranked {
 	return r
 }
 
-// MergeRanked merges ranked lists over disjoint item sets (each
-// already ordered by score desc, item asc) into one global top-k under
-// the same order. The merge is fully deterministic — equal scores
-// break toward the smaller item ID regardless of input list order —
-// and merging a single list is the identity (truncated to k), which is
-// what makes the N=1 dispatcher bit-identical to the unsharded path.
-func MergeRanked(k int, lists ...Ranked) Ranked {
-	total := 0
-	for _, l := range lists {
-		total += len(l.Items)
-	}
-	if k > total {
-		k = total
-	}
-	out := Ranked{Items: make([]int, 0, k), Scores: make([]float64, 0, k)}
-	heads := make([]int, len(lists))
-	for len(out.Items) < k {
-		best := -1
-		for li, l := range lists {
-			h := heads[li]
-			if h >= len(l.Items) {
-				continue
-			}
-			if best < 0 {
-				best = li
-				continue
-			}
-			b := lists[best]
-			bs, ls := b.Scores[heads[best]], l.Scores[h]
-			if ls > bs || (ls == bs && l.Items[h] < b.Items[heads[best]]) {
-				best = li
-			}
-		}
-		if best < 0 {
-			break
-		}
-		h := heads[best]
-		out.Items = append(out.Items, lists[best].Items[h])
-		out.Scores = append(out.Scores, lists[best].Scores[h])
-		heads[best]++
-	}
-	return out
-}
-
-// recommendOn computes user's masked top-k on sh from the shard's
-// cached score vector, copying before the in-place mask. The query's
-// item window (the facility filter) masks alongside the train set.
-func (dp *Dispatcher) recommendOn(sh *Shard, ctx context.Context, user, k int, q Query) Ranked {
-	cached := sh.cache.Scores(ctx, user)
+// recommendOn computes user's masked top-k from the cached score
+// vector, copying before the in-place mask. The query's item window
+// (the facility filter) masks alongside the train set.
+func (dp *Dispatcher) recommendOn(ctx context.Context, user, k int, q Query) Ranked {
+	cached := dp.cache.Scores(ctx, user)
 	buf := dp.scoreBufs.Get().([]float64)[:len(cached)]
 	copy(buf, cached)
 	eval.MaskTrain(dp.d, user, buf)
@@ -546,10 +378,10 @@ func (dp *Dispatcher) recommendOn(sh *Shard, ctx context.Context, user, k int, q
 	return r
 }
 
-// fallbackRank answers from the shared popularity prior, bypassing
-// shard caches and scorers entirely: the degraded answer when a
-// shard's model path misses its deadline. The item window still
-// applies, so even degraded answers respect the facility filter.
+// fallbackRank answers from the popularity prior, bypassing the cache
+// and scorer entirely: the degraded answer when the model path misses
+// its deadline. The item window still applies, so even degraded
+// answers respect the facility filter.
 func (dp *Dispatcher) fallbackRank(user, k int, q Query) Ranked {
 	buf := dp.scoreBufs.Get().([]float64)[:dp.d.NumItems]
 	dp.fallback.ScoreItems(user, buf)
@@ -560,33 +392,30 @@ func (dp *Dispatcher) fallbackRank(user, k int, q Query) Ranked {
 	return r
 }
 
-// recommendWith runs one user's ranking on sh under the requested
-// mode: the shard's index when mode=ann and a live index exists,
-// exhaustive scoring otherwise (with info.Fallback set on an
-// unsatisfied ann request).
-func (dp *Dispatcher) recommendWith(sh *Shard, ctx context.Context, user, k int, q Query) (Ranked, RankInfo) {
+// recommendWith runs one user's ranking under the requested mode: the
+// index when mode=ann and a live index exists, exhaustive scoring
+// otherwise (with info.Fallback set on an unsatisfied ann request).
+func (dp *Dispatcher) recommendWith(ctx context.Context, user, k int, q Query) (Ranked, RankInfo) {
 	if q.Mode == api.ModeANN {
-		if a := sh.state().ann; a != nil {
+		if a := dp.state().ann; a != nil {
 			ef := a.resolveEF(q.EF, k)
 			return dp.annRecommendOn(a, user, k, ef, q), RankInfo{Mode: api.ModeANN, EF: ef}
 		}
 		dp.countANNFallback()
-		return dp.recommendOn(sh, ctx, user, k, q), RankInfo{Mode: api.ModeExact, Fallback: true}
+		return dp.recommendOn(ctx, user, k, q), RankInfo{Mode: api.ModeExact, Fallback: true}
 	}
-	return dp.recommendOn(sh, ctx, user, k, q), RankInfo{Mode: api.ModeExact}
+	return dp.recommendOn(ctx, user, k, q), RankInfo{Mode: api.ModeExact}
 }
 
-// Recommend routes one user's top-k to the owning shard. degraded
-// reports whether the answer came from the popularity fallback —
-// either because the shard is degraded or because the model path blew
-// the deadline.
+// Recommend answers one user's top-k. degraded reports whether the
+// answer came from the popularity fallback — either because no trained
+// scorer is loaded or because the model path blew the deadline.
 func (dp *Dispatcher) Recommend(ctx context.Context, user, k int, q Query) (Ranked, RankInfo, bool) {
-	sh := dp.shards[dp.userOwner[user]]
-	sh.begin()
-	defer sh.end()
+	dp.begin()
+	defer dp.end()
 	start := time.Now()
-	degraded := sh.state().degraded
-	r, info := dp.recommendWith(sh, ctx, user, k, q)
+	degraded := dp.state().degraded
+	r, info := dp.recommendWith(ctx, user, k, q)
 	if !degraded && ctx.Err() != nil {
 		// The model path blew the deadline; answer from the popularity
 		// prior rather than failing a recommendation request.
@@ -597,26 +426,22 @@ func (dp *Dispatcher) Recommend(ctx context.Context, user, k int, q Query) (Rank
 	return r, info, degraded
 }
 
-// RecommendBatch fans the batch out across the owning shards of its
-// users on the bounded pool and merges the per-user rankings back in
-// request order. degraded[i] reports per-user fallback answers. If the
-// deadline trips mid-batch every user is answered from the popularity
-// prior so the response is uniform.
-// RecommendBatch propagates the resolved batch mode to every fan-out
-// task — each user's owning shard ranks under the same Query — and
-// reports a batch-wide RankInfo: Fallback is set when any user's shard
-// answered exhaustively against an ann request.
+// RecommendBatch ranks every user of the batch on the bounded pool
+// under the same Query and returns the rankings in request order.
+// degraded[i] reports per-user fallback answers. If the deadline trips
+// mid-batch every user is answered from the popularity prior so the
+// response is uniform. The batch-wide RankInfo sets Fallback when any
+// user was answered exhaustively against an ann request.
 func (dp *Dispatcher) RecommendBatch(ctx context.Context, users []int, k int, q Query) ([]Ranked, []bool, RankInfo) {
 	start := time.Now()
 	results := make([]Ranked, len(users))
 	degraded := make([]bool, len(users))
 	infos := make([]RankInfo, len(users))
 	err := dp.runBounded(ctx, len(users), func(i int) {
-		sh := dp.shards[dp.userOwner[users[i]]]
-		sh.begin()
-		defer sh.end()
-		degraded[i] = sh.state().degraded
-		results[i], infos[i] = dp.recommendWith(sh, ctx, users[i], k, q)
+		dp.begin()
+		defer dp.end()
+		degraded[i] = dp.state().degraded
+		results[i], infos[i] = dp.recommendWith(ctx, users[i], k, q)
 	})
 	info := RankInfo{Mode: api.ModeExact}
 	if q.Mode == api.ModeANN {
@@ -630,7 +455,7 @@ func (dp *Dispatcher) RecommendBatch(ctx context.Context, users []int, k int, q 
 			}
 		}
 		if info.EF == 0 {
-			// Every shard fell back; the batch ran exhaustively.
+			// Every user fell back; the batch ran exhaustively.
 			info = RankInfo{Mode: api.ModeExact, Fallback: true}
 		}
 	}
@@ -649,24 +474,22 @@ func (dp *Dispatcher) RecommendBatch(ctx context.Context, users []int, k int, q 
 }
 
 // Similar aggregates the probe users' score vectors — each fetched
-// from its owning shard's cache on the bounded pool — and ranks items
-// by the summed co-score, excluding the target item. The request is
-// accounted against the item's owning shard; degraded reports whether
-// any shard that contributed a probe vector (or the owner) is
-// degraded. scale is the factor the caller applies to scores when
-// rendering (1/len(probes)).
+// from the cache on the bounded pool — and ranks items by the summed
+// co-score, excluding the target item. degraded reports whether the
+// state serving the request is the popularity fallback. scale is the
+// factor the caller applies to scores when rendering (1/len(probes)).
 func (dp *Dispatcher) Similar(ctx context.Context, item, k int, probes []int, q Query) (r Ranked, scale float64, info RankInfo, degraded bool, err error) {
-	owner := dp.shards[dp.itemOwner[item]]
-	owner.begin()
-	defer owner.end()
+	dp.begin()
+	defer dp.end()
 	start := time.Now()
+	st := dp.state()
 
-	// ann path: Σ_p(e_p·e_i) = (Σ_p e_p)·e_i, so the cross-shard probe
-	// fan-out collapses to one index search on the owner with the
-	// summed probe vector. The aggregation is mathematically identical
-	// to the exact path; only float summation order differs.
+	// ann path: Σ_p(e_p·e_i) = (Σ_p e_p)·e_i, so the probe fan-out
+	// collapses to one index search with the summed probe vector. The
+	// aggregation is mathematically identical to the exact path; only
+	// float summation order differs.
 	if q.Mode == api.ModeANN {
-		if a := owner.state().ann; a != nil {
+		if a := st.ann; a != nil {
 			qv := make([]float64, a.vs.Dim())
 			for _, p := range probes {
 				uv := a.vs.UserVector(p)
@@ -678,8 +501,7 @@ func (dp *Dispatcher) Similar(ctx context.Context, item, k int, probes []int, q 
 			items, scores := a.items.Search(qv, k, ef, func(id int) bool { return id != item && q.acceptItem(id) })
 			info = RankInfo{Mode: api.ModeANN, EF: ef}
 			dp.observeRank(info.Mode, start)
-			return Ranked{Items: items, Scores: scores}, 1 / float64(len(probes)), info,
-				owner.state().degraded, nil
+			return Ranked{Items: items, Scores: scores}, 1 / float64(len(probes)), info, st.degraded, nil
 		}
 		dp.countANNFallback()
 		info.Fallback = true
@@ -687,17 +509,9 @@ func (dp *Dispatcher) Similar(ctx context.Context, item, k int, probes []int, q 
 	info.Mode = api.ModeExact
 	defer func() { dp.observeRank(info.Mode, start) }()
 
-	var degradedBits atomic.Uint64
-	if owner.state().degraded {
-		degradedBits.Store(1)
-	}
 	vecs := make([][]float64, len(probes))
 	err = dp.runBounded(ctx, len(probes), func(i int) {
-		sh := dp.shards[dp.userOwner[probes[i]]]
-		if sh.state().degraded {
-			degradedBits.Store(1)
-		}
-		vecs[i] = sh.cache.Scores(ctx, probes[i])
+		vecs[i] = dp.cache.Scores(ctx, probes[i])
 	})
 	if dp.fanout != nil {
 		dp.fanout.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
@@ -719,21 +533,19 @@ func (dp *Dispatcher) Similar(ctx context.Context, item, k int, probes []int, q 
 	agg[item] = math.Inf(-1)
 	r = rankedFrom(agg, k)
 	dp.scoreBufs.Put(agg)
-	return r, 1 / float64(len(probes)), info, degradedBits.Load() != 0, nil
+	return r, 1 / float64(len(probes)), info, st.degraded, nil
 }
 
 // Nearest answers /v1/query:nearest: the k entities closest to ref in
-// embedding space under inner product, excluding ref itself. The
-// request routes to — and is accounted against — the shard owning the
-// anchor entity. typ filters results to one kind ("" defaults to the
-// anchor's kind; "any" returns both). ErrNoEmbeddings when the owning
-// shard serves a scorer without embedding geometry.
+// embedding space under inner product, excluding ref itself. typ
+// filters results to one kind ("" defaults to the anchor's kind; "any"
+// returns both). ErrNoEmbeddings when the scorer has no embedding
+// geometry.
 func (dp *Dispatcher) Nearest(ctx context.Context, ref api.EntityRef, k int, typ string, q Query) ([]Neighbor, RankInfo, bool, error) {
-	sh := dp.ownerOf(ref)
-	sh.begin()
-	defer sh.end()
+	dp.begin()
+	defer dp.end()
 	start := time.Now()
-	st := sh.state()
+	st := dp.state()
 	vs, ok := st.scorer.(eval.VectorScorer)
 	if !ok {
 		return nil, RankInfo{}, st.degraded, ErrNoEmbeddings
@@ -742,20 +554,19 @@ func (dp *Dispatcher) Nearest(ctx context.Context, ref api.EntityRef, k int, typ
 		typ = ref.Kind
 	}
 	skip := func(kind string, id int) bool { return kind == ref.Kind && id == ref.ID }
-	out, info, degraded, err := dp.semanticSearch(sh, vectorOf(vs, ref), k, typ, q, skip)
+	out, info, degraded, err := dp.semanticSearch(st, vectorOf(vs, ref), k, typ, q, skip)
 	dp.observeRank(info.Mode, start)
 	return out, info, degraded, err
 }
 
 // Analogy answers /v1/query:analogy: entities nearest to the analogy
 // point e_a − e_b + e_c (Tran & Takasu's semantic query), excluding the
-// three anchors. Routed to a's owning shard. typ defaults to a's kind.
+// three anchors. typ defaults to a's kind.
 func (dp *Dispatcher) Analogy(ctx context.Context, a, b, c api.EntityRef, k int, typ string, q Query) ([]Neighbor, RankInfo, bool, error) {
-	sh := dp.ownerOf(a)
-	sh.begin()
-	defer sh.end()
+	dp.begin()
+	defer dp.end()
 	start := time.Now()
-	st := sh.state()
+	st := dp.state()
 	vs, ok := st.scorer.(eval.VectorScorer)
 	if !ok {
 		return nil, RankInfo{}, st.degraded, ErrNoEmbeddings
@@ -777,40 +588,31 @@ func (dp *Dispatcher) Analogy(ctx context.Context, a, b, c api.EntityRef, k int,
 		}
 		return false
 	}
-	out, info, degraded, err := dp.semanticSearch(sh, qv, k, typ, q, skip)
+	out, info, degraded, err := dp.semanticSearch(st, qv, k, typ, q, skip)
 	dp.observeRank(info.Mode, start)
 	return out, info, degraded, err
 }
 
-// ownerOf resolves the shard owning an entity reference.
-func (dp *Dispatcher) ownerOf(ref api.EntityRef) *Shard {
-	if ref.Kind == api.KindUser {
-		return dp.shards[dp.userOwner[ref.ID]]
-	}
-	return dp.shards[dp.itemOwner[ref.ID]]
-}
-
 // Explain walks the frozen CSR for knowledge paths from the user's
-// training history to the target item, using the owning shard's pooled
-// PathFinder. degraded mirrors the owning shard's flag so the response
-// envelope matches the ranking endpoints. err is the context error
-// when the deadline expired mid-walk.
+// training history to the target item, using a pooled PathFinder.
+// degraded mirrors the serving state's flag so the response envelope
+// matches the ranking endpoints. err is the context error when the
+// deadline expired mid-walk.
 func (dp *Dispatcher) Explain(ctx context.Context, user, item int) (out []api.ExplainPath, degraded bool, err error) {
-	sh := dp.shards[dp.userOwner[user]]
-	sh.begin()
-	defer sh.end()
-	degraded = sh.state().degraded
+	dp.begin()
+	defer dp.end()
+	degraded = dp.state().degraded
 
 	dst := dp.d.ItemEnt[item]
 	cur := dp.csr.Load()
-	p := sh.pathers.Get().(*pather)
+	p := dp.pathers.Get().(*pather)
 	if p.csr != cur {
 		// The graph was swapped since this finder was pooled; rebuild
 		// against the published CSR.
 		p = &pather{csr: cur, pf: cur.PathFinder()}
 	}
 	finder := p.pf
-	defer sh.pathers.Put(p)
+	defer dp.pathers.Put(p)
 	_, sp := obs.StartSpan(ctx, "explain.paths")
 	sp.SetAttrInt("user", user)
 	sp.SetAttrInt("item", item)
@@ -834,53 +636,41 @@ func (dp *Dispatcher) Explain(ctx context.Context, user, item int) (out []api.Ex
 	return out, degraded, ctx.Err()
 }
 
-// Reload swaps in a freshly loaded scorer shard by shard, each with
-// its own retry loop (attempts tries, exponential backoff starting at
-// backoff), and reports every shard's outcome. A shard whose loads all
-// fail keeps its previous state — trained or degraded — serving; its
-// siblings still swap, so a partial failure degrades partially instead
-// of globally. The returned error joins the per-shard failures (nil
-// when every shard reloaded).
-func (dp *Dispatcher) Reload(loader func() (eval.Scorer, error), attempts int, backoff time.Duration) ([]api.ShardReload, error) {
+// Reload swaps in a freshly loaded scorer, retrying the loader up to
+// attempts times with exponential backoff starting at backoff, and
+// reports the outcome as the shard 0 reload block. When every load
+// fails the previous state — trained or degraded — keeps serving and
+// the error names shard 0, matching the block in the /v1/admin/reload
+// failure envelope.
+func (dp *Dispatcher) Reload(loader func() (eval.Scorer, error), attempts int, backoff time.Duration) (api.ShardReload, error) {
 	if attempts < 1 {
 		attempts = 1
 	}
-	reports := make([]api.ShardReload, len(dp.shards))
-	var failures []error
-	for i, sh := range dp.shards {
-		var sc eval.Scorer
-		var err error
-		b := backoff
-		for a := 0; a < attempts; a++ {
-			if a > 0 {
-				time.Sleep(b)
-				b *= 2
-			}
-			if sc, err = loader(); err == nil {
-				break
-			}
+	var sc eval.Scorer
+	var err error
+	for a := 0; a < attempts; a++ {
+		if a > 0 {
+			time.Sleep(backoff)
+			backoff *= 2
 		}
-		if err != nil {
-			reports[i] = api.ShardReload{
-				Shard: i, Status: "failed",
-				Degraded: sh.state().degraded,
-				Error:    err.Error(),
-			}
-			failures = append(failures, fmt.Errorf("shard %d: %w", i, err))
-			continue
+		if sc, err = loader(); err == nil {
+			break
 		}
-		dp.SetShardScorer(i, sc)
-		reports[i] = api.ShardReload{Shard: i, Status: "reloaded", Degraded: false}
 	}
-	return reports, errors.Join(failures...)
+	if err != nil {
+		return api.ShardReload{Status: "failed", Degraded: dp.state().degraded, Error: err.Error()},
+			fmt.Errorf("shard 0: %w", err)
+	}
+	dp.SetScorer(sc)
+	return api.ShardReload{Status: "reloaded"}, nil
 }
 
-// runBounded executes fn(0..n-1) across the dispatcher's shared
-// bounded pool, blocking until all launched tasks finish. The bound is
-// global across requests, so a burst of batch calls cannot
-// oversubscribe the machine. If ctx expires while tasks are still
-// waiting for a slot, the remaining tasks are skipped and ctx.Err is
-// returned after the launched ones drain.
+// runBounded executes fn(0..n-1) across the dispatcher's bounded pool,
+// blocking until all launched tasks finish. The bound is global across
+// requests, so a burst of batch calls cannot oversubscribe the
+// machine. If ctx expires while tasks are still waiting for a slot,
+// the remaining tasks are skipped and ctx.Err is returned after the
+// launched ones drain.
 func (dp *Dispatcher) runBounded(ctx context.Context, n int, fn func(i int)) error {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

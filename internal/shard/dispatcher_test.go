@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -38,7 +37,7 @@ func testData(t testing.TB) *dataset.Dataset {
 }
 
 // fakeScorer produces deterministic user-dependent scores with many
-// exact ties, so ranking equality across shard counts also proves the
+// exact ties, so ranking equality with the direct path also proves the
 // score-then-lower-ID tiebreak survives the dispatch path.
 type fakeScorer struct{ n int }
 
@@ -50,12 +49,11 @@ func (f *fakeScorer) ScoreItems(user int, out []float64) {
 
 func (f *fakeScorer) NumItems() int { return f.n }
 
-func testDispatcher(t testing.TB, shards int, sc eval.Scorer) (*Dispatcher, *dataset.Dataset) {
+func testDispatcher(t testing.TB, sc eval.Scorer) (*Dispatcher, *dataset.Dataset) {
 	t.Helper()
 	d := testData(t)
 	csr := d.CSR()
 	return New(Config{
-		Shards:   shards,
 		Dataset:  d,
 		CSR:      csr,
 		Fallback: eval.Popularity(d, csr),
@@ -75,12 +73,12 @@ func rankedEqual(a, b Ranked) bool {
 	return true
 }
 
-// The N=1 dispatcher must be bit-identical to the direct eval path:
-// score, mask training positives, TopK.
+// The dispatcher must be bit-identical to the direct eval path: score,
+// mask training positives, TopK — for single and batch requests.
 func TestDispatcherSingleShardMatchesDirect(t *testing.T) {
 	d := testData(t)
 	sc := &fakeScorer{n: d.NumItems}
-	dp, _ := testDispatcher(t, 1, sc)
+	dp, _ := testDispatcher(t, sc)
 	ctx := context.Background()
 	for u := 0; u < d.NumUsers; u++ {
 		got, _, degraded := dp.Recommend(ctx, u, 10, Query{})
@@ -95,141 +93,16 @@ func TestDispatcherSingleShardMatchesDirect(t *testing.T) {
 			t.Fatalf("user %d: dispatcher %v != direct %v", u, got, want)
 		}
 	}
-}
-
-// The headline merge-determinism contract: for every user and every
-// shard count, single and batch recommendations are exactly the
-// single-shard ranking — items AND scores.
-func TestMergeDeterminismAcrossShardCounts(t *testing.T) {
-	d := testData(t)
-	sc := &fakeScorer{n: d.NumItems}
-	ref, _ := testDispatcher(t, 1, sc)
-	ctx := context.Background()
-
 	users := make([]int, d.NumUsers)
-	want := make([]Ranked, d.NumUsers)
 	for u := range users {
 		users[u] = u
-		want[u], _, _ = ref.Recommend(ctx, u, 10, Query{})
 	}
-
-	for _, n := range []int{2, 3, 4} {
-		dp, _ := testDispatcher(t, n, sc)
-		// Sanity: with multiple shards the users must actually spread out.
-		seen := map[int]bool{}
-		for u := range users {
-			seen[dp.ShardForUser(u)] = true
-		}
-		if len(seen) < 2 {
-			t.Fatalf("N=%d: all users landed on one shard", n)
-		}
-		for u := range users {
-			got, _, degraded := dp.Recommend(ctx, u, 10, Query{})
-			if degraded {
-				t.Fatalf("N=%d user %d: unexpectedly degraded", n, u)
-			}
-			if !rankedEqual(got, want[u]) {
-				t.Fatalf("N=%d user %d: %v != single-shard %v", n, u, got, want[u])
-			}
-		}
-		batch, perUser, _ := dp.RecommendBatch(ctx, users, 10, Query{})
-		for u := range users {
-			if perUser[u] {
-				t.Fatalf("N=%d user %d: batch degraded", n, u)
-			}
-			if !rankedEqual(batch[u], want[u]) {
-				t.Fatalf("N=%d user %d: batch %v != single-shard %v", n, u, batch[u], want[u])
-			}
-		}
-	}
-}
-
-// MergeRanked is the documented contract for combining rankings over
-// disjoint item sets: score descending, ties toward the smaller ID,
-// independent of input list order; a single list is the identity.
-func TestMergeRanked(t *testing.T) {
-	a := Ranked{Items: []int{2, 10, 4}, Scores: []float64{9, 5, 3}}
-	b := Ranked{Items: []int{1, 3, 11}, Scores: []float64{5, 5, 1}}
-	want := Ranked{Items: []int{2, 1, 3, 10, 4}, Scores: []float64{9, 5, 5, 5, 3}}
-	for _, lists := range [][]Ranked{{a, b}, {b, a}} {
-		got := MergeRanked(5, lists...)
-		if !rankedEqual(got, want) {
-			t.Fatalf("MergeRanked(%v) = %v, want %v", lists, got, want)
-		}
-	}
-	if got := MergeRanked(2, a); !rankedEqual(got, Ranked{Items: []int{2, 10}, Scores: []float64{9, 5}}) {
-		t.Fatalf("single-list merge not identity: %v", got)
-	}
-	if got := MergeRanked(10, a, b); len(got.Items) != 6 {
-		t.Fatalf("merge past exhaustion returned %d items, want 6", len(got.Items))
-	}
-	if got := MergeRanked(3); len(got.Items) != 0 {
-		t.Fatalf("empty merge returned %v", got)
-	}
-}
-
-// One corrupt shard must degrade alone: its users answer from the
-// fallback with degraded=true while every other shard keeps serving
-// the trained scorer non-degraded.
-func TestShardDegradationIsolation(t *testing.T) {
-	d := testData(t)
-	sc := &fakeScorer{n: d.NumItems}
-	dp, _ := testDispatcher(t, 4, sc)
-	ref, _ := testDispatcher(t, 1, sc)
-	ctx := context.Background()
-
-	const bad = 2
-	dp.SetShardScorer(bad, nil)
-	if !dp.Degraded() {
-		t.Fatal("dispatcher not degraded with a corrupt shard")
-	}
-	if got := dp.DegradedShards(); len(got) != 1 || got[0] != bad {
-		t.Fatalf("DegradedShards = %v, want [%d]", got, bad)
-	}
-
-	fallbackRef := testFallbackRanked(d, 10)
-	checkedGood, checkedBad := false, false
-	for u := 0; u < d.NumUsers; u++ {
-		got, _, degraded := dp.Recommend(ctx, u, 10, Query{})
-		if dp.ShardForUser(u) == bad {
-			checkedBad = true
-			if !degraded {
-				t.Fatalf("user %d on corrupt shard served non-degraded", u)
-			}
-			if !rankedEqual(got, fallbackRef[u]) {
-				t.Fatalf("user %d: degraded answer %v != popularity fallback %v", u, got, fallbackRef[u])
-			}
-			continue
-		}
-		checkedGood = true
-		if degraded {
-			t.Fatalf("user %d on healthy shard %d degraded", u, dp.ShardForUser(u))
-		}
-		want, _, _ := ref.Recommend(ctx, u, 10, Query{})
-		if !rankedEqual(got, want) {
-			t.Fatalf("user %d on healthy shard: %v != trained ranking %v", u, got, want)
-		}
-	}
-	if !checkedGood || !checkedBad {
-		t.Fatalf("test did not cover both shard states (good=%v bad=%v)", checkedGood, checkedBad)
-	}
-
-	// Batch across the same users reports per-user degradation.
-	users := []int{}
-	for u := 0; u < d.NumUsers; u++ {
-		users = append(users, u)
-	}
-	_, perUser, _ := dp.RecommendBatch(ctx, users, 5, Query{})
+	batch, perUser, _ := dp.RecommendBatch(ctx, users, 10, Query{})
 	for u := range users {
-		if want := dp.ShardForUser(u) == bad; perUser[u] != want {
-			t.Fatalf("batch degraded[%d] = %v, want %v", u, perUser[u], want)
+		single, _, _ := dp.Recommend(ctx, u, 10, Query{})
+		if perUser[u] || !rankedEqual(batch[u], single) {
+			t.Fatalf("user %d: batch %v (degraded=%v) != single %v", u, batch[u], perUser[u], single)
 		}
-	}
-
-	// Healing the shard restores full quality everywhere.
-	dp.SetShardScorer(bad, sc)
-	if dp.Degraded() {
-		t.Fatal("dispatcher still degraded after healing the shard")
 	}
 }
 
@@ -248,17 +121,25 @@ func testFallbackRanked(d *dataset.Dataset, k int) []Ranked {
 	return out
 }
 
-// Reload swaps shard by shard with per-shard retry loops and per-shard
-// outcomes; a shard whose loads keep failing is reported failed while
-// its siblings swap.
+// Reload retries the loader with backoff and reports the outcome as
+// the shard 0 block. A reload whose loads all fail keeps the previous
+// state serving — degraded at boot, trained once healed.
 func TestReloadPerShardReporting(t *testing.T) {
 	d := testData(t)
-	dp, _ := testDispatcher(t, 3, nil) // boots fully degraded
-	if got := len(dp.DegradedShards()); got != 3 {
-		t.Fatalf("boot degraded shards = %d, want 3", got)
+	dp, _ := testDispatcher(t, nil) // boots degraded
+	if !dp.Degraded() {
+		t.Fatal("nil scorer did not boot degraded")
+	}
+	ctx := context.Background()
+	fallbackRef := testFallbackRanked(d, 10)
+	for u := 0; u < d.NumUsers; u++ {
+		got, _, degraded := dp.Recommend(ctx, u, 10, Query{})
+		if !degraded || !rankedEqual(got, fallbackRef[u]) {
+			t.Fatalf("user %d: degraded=%v answer %v != popularity fallback %v", u, degraded, got, fallbackRef[u])
+		}
 	}
 
-	// Loader: fails both attempts for the first shard, succeeds after.
+	// Loader: fails the first attempts calls, succeeds after.
 	const attempts = 2
 	calls := 0
 	loader := func() (eval.Scorer, error) {
@@ -268,78 +149,45 @@ func TestReloadPerShardReporting(t *testing.T) {
 		}
 		return &fakeScorer{n: d.NumItems}, nil
 	}
-	reports, err := dp.Reload(loader, attempts, time.Millisecond)
-	if err == nil {
-		t.Fatal("partial reload failure reported no error")
+	report, err := dp.Reload(loader, attempts, time.Millisecond)
+	if err == nil || !strings.HasPrefix(err.Error(), "shard 0: ") {
+		t.Fatalf("failed reload error = %v, want one naming shard 0", err)
 	}
-	if len(reports) != 3 {
-		t.Fatalf("got %d reports, want 3", len(reports))
+	if calls != attempts {
+		t.Fatalf("loader called %d times, want %d (one per attempt)", calls, attempts)
 	}
-	if reports[0].Status != "failed" || reports[0].Error == "" || !reports[0].Degraded {
-		t.Fatalf("shard 0 report = %+v, want failed+degraded with error", reports[0])
+	if report.Shard != 0 || report.Status != "failed" || report.Error == "" || !report.Degraded {
+		t.Fatalf("failed report = %+v, want shard 0 failed+degraded with error", report)
 	}
-	for i := 1; i < 3; i++ {
-		if reports[i].Status != "reloaded" || reports[i].Degraded {
-			t.Fatalf("shard %d report = %+v, want reloaded", i, reports[i])
-		}
-	}
-	if got := dp.DegradedShards(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("degraded shards after partial reload = %v, want [0]", got)
+	if !dp.Degraded() {
+		t.Fatal("a failed reload changed the degraded state")
 	}
 
-	// A second reload heals the remaining shard.
-	if _, err := dp.Reload(loader, attempts, time.Millisecond); err != nil {
-		t.Fatalf("healing reload failed: %v", err)
+	// The next reload succeeds and heals.
+	report, err = dp.Reload(loader, attempts, time.Millisecond)
+	if err != nil || report.Status != "reloaded" || report.Degraded {
+		t.Fatalf("healing reload: report %+v err %v", report, err)
 	}
 	if dp.Degraded() {
-		t.Fatal("still degraded after full reload")
+		t.Fatal("still degraded after a successful reload")
+	}
+	trained, _, _ := dp.Recommend(ctx, 3, 10, Query{})
+
+	// A failing reload now keeps the trained scorer serving.
+	calls = 0
+	if _, err := dp.Reload(loader, attempts, time.Millisecond); err == nil {
+		t.Fatal("failing reload reported no error")
+	}
+	if got, _, degraded := dp.Recommend(ctx, 3, 10, Query{}); degraded || !rankedEqual(got, trained) {
+		t.Fatalf("failed reload disturbed the trained state: degraded=%v %v != %v", degraded, got, trained)
 	}
 }
 
-// Swapping one shard's scorer must invalidate only that shard's cache.
-func TestSetShardScorerInvalidatesOnlyThatShard(t *testing.T) {
-	d := testData(t)
-	sc := &fakeScorer{n: d.NumItems}
-	dp, _ := testDispatcher(t, 4, sc)
-	ctx := context.Background()
-
-	// Warm one user's vector on every shard.
-	warmed := map[int]bool{}
-	for u := 0; u < d.NumUsers && len(warmed) < 4; u++ {
-		sh := dp.ShardForUser(u)
-		if !warmed[sh] {
-			warmed[sh] = true
-			dp.Recommend(ctx, u, 5, Query{})
-		}
-	}
-	if len(warmed) < 2 {
-		t.Skip("users did not spread across shards")
-	}
-
-	entriesBefore := map[int]int{}
-	for _, st := range dp.Stats() {
-		entriesBefore[st.Shard] = st.Cache.Entries
-	}
-	const swapped = 1
-	dp.SetShardScorer(swapped, sc)
-	for _, st := range dp.Stats() {
-		if st.Shard == swapped {
-			if st.Cache.Entries != 0 {
-				t.Fatalf("swapped shard kept %d cache entries", st.Cache.Entries)
-			}
-			continue
-		}
-		if st.Cache.Entries != entriesBefore[st.Shard] {
-			t.Fatalf("shard %d cache disturbed by sibling swap: %d → %d",
-				st.Shard, entriesBefore[st.Shard], st.Cache.Entries)
-		}
-	}
-}
-
-// Register must mint the shard_* families with one series per shard.
+// Register must mint the shard_* families with the single shard="0"
+// series.
 func TestRegisterShardMetrics(t *testing.T) {
 	d := testData(t)
-	dp, _ := testDispatcher(t, 2, &fakeScorer{n: d.NumItems})
+	dp, _ := testDispatcher(t, &fakeScorer{n: d.NumItems})
 	reg := obs.NewRegistry()
 	dp.Register(reg)
 	dp.Recommend(context.Background(), 0, 5, Query{})
@@ -350,38 +198,36 @@ func TestRegisterShardMetrics(t *testing.T) {
 	}
 	text := buf.String()
 	for _, want := range []string{
-		"shard_count 2",
-		`shard_requests_total{shard="` + fmt.Sprint(dp.ShardForUser(0)) + `"} 1`,
+		"shard_count 1",
+		`shard_requests_total{shard="0"} 1`,
 		`shard_degraded{shard="0"} 0`,
-		`shard_degraded{shard="1"} 0`,
-		"shard_inflight_requests{",
-		"shard_cache_misses_total{",
+		`shard_inflight_requests{shard="0"} 0`,
+		`shard_cache_misses_total{shard="0"} 1`,
 		"shard_fanout_duration_ms",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics exposition missing %q in:\n%s", want, text)
 		}
 	}
+	if strings.Contains(text, `shard="1"`) {
+		t.Fatalf("metrics exposition carries a second shard series:\n%s", text)
+	}
 }
 
-// BenchmarkDispatcherBatch drives recommend:batch through 1/2/4-shard
-// dispatchers (the payload scripts/bench_shard.sh records).
+// BenchmarkDispatcherBatch drives recommend:batch over every test user
+// through the dispatcher with warm caches (the payload
+// scripts/bench_shard.sh records).
 func BenchmarkDispatcherBatch(b *testing.B) {
 	d := testData(b)
-	sc := &fakeScorer{n: d.NumItems}
+	dp, _ := testDispatcher(b, &fakeScorer{n: d.NumItems})
 	users := make([]int, d.NumUsers)
 	for u := range users {
 		users[u] = u
 	}
-	for _, n := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			dp, _ := testDispatcher(b, n, sc)
-			ctx := context.Background()
-			dp.RecommendBatch(ctx, users, 10, Query{}) // warm caches
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dp.RecommendBatch(ctx, users, 10, Query{})
-			}
-		})
+	ctx := context.Background()
+	dp.RecommendBatch(ctx, users, 10, Query{}) // warm caches
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dp.RecommendBatch(ctx, users, 10, Query{})
 	}
 }

@@ -2,14 +2,14 @@ package shard
 
 // Consistent placement via rendezvous (highest-random-weight) hashing:
 // a key's owner is the shard whose mixed (key, shard) weight is
-// largest. Rendezvous hashing has exactly the stability property the
-// dispatcher needs — when the shard count grows from N to N+1, a key
-// moves only if the new shard wins it, so the expected fraction of
-// keys that relocate is 1/(N+1) (≤ K/N keys for any K-key set) and no
-// key ever moves between two pre-existing shards. It needs no ring
-// state, no virtual nodes, and owner lookup is O(N) over a handful of
-// shards, which the dispatcher amortizes by precomputing the owner of
-// every user and item entity at construction.
+// largest. cmd/router uses it to place users and items on whole serve
+// processes (router.BackendFor), and rendezvous hashing has exactly
+// the stability property that placement needs — when the backend count
+// grows from N to N+1, a key moves only if the new backend wins it, so
+// the expected fraction of keys that relocate is 1/(N+1) (≤ K/N keys
+// for any K-key set) and no key ever moves between two pre-existing
+// backends. It needs no ring state, no virtual nodes, and owner lookup
+// is O(N) over a handful of backends.
 
 // Distinct salts keep the user and item key spaces independent, so
 // user entity e and item entity e do not travel together.

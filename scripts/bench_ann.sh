@@ -7,8 +7,8 @@
 #     the catalog scale where the sublinear claim matters. The ann row
 #     carries mean recall@10 against the exact ranking.
 #   - BenchmarkRecommendMode (internal/shard): end-to-end dispatcher
-#     recommend in exact and ann mode at 1/2/4 shards on the OOI test
-#     dataset (~777 items), with recall@100 on the ann rows. At this
+#     recommend in exact and ann mode on the OOI test dataset (~777
+#     items), with recall@100 on the ann row. At this
 #     catalog size exhaustive scoring is already cheap, so these rows
 #     track dispatch overhead and fidelity rather than the speedup.
 #

@@ -1,10 +1,9 @@
 #!/usr/bin/env sh
 # Produces BENCH_shard.json: recommend:batch throughput through the
-# consistent-hash dispatcher at 1, 2, and 4 scorer shards, as a JSON
-# array for the perf trajectory across PRs. The 1-shard row is the
-# no-sharding baseline (the dispatcher degenerates to the direct
-# scoring path); 2 and 4 show the fan-out/merge scaling on the same
-# batch of users.
+# dispatcher (every test user, warm score cache, bounded fan-out), as
+# a JSON array for the perf trajectory across PRs. A process serves
+# one shard; multi-shard capacity is measured through cmd/router by
+# scripts/bench_load.sh.
 #
 # Each benchmark runs BENCHCOUNT times and the minimum ns/op is kept:
 # the minimum is the standard robust estimator on shared machines,

@@ -12,8 +12,9 @@
 #     internal/serve/api, internal/router): LRU cache, worker pool,
 #     metrics, middleware, hot reload / degraded fallback, and the
 #     multi-process router's fan-out;
-#   - the sharded dispatcher (internal/shard): per-shard scorer swap,
-#     bounded fan-out/merge, per-shard caches — raced at N>=2 shards;
+#   - the dispatcher (internal/shard): scorer swap and cache
+#     generation under concurrent requests, bounded batch/probe
+#     fan-out, hot reload;
 #   - the ann subsystem (internal/ann + the shard/serve/router layers
 #     above it): concurrent index search, async build/CAS-attach
 #     against scorer swaps, and the semantic query endpoints;
@@ -101,11 +102,11 @@ if [ "$mode" = "all" ] || [ "$mode" = "race" ]; then
     go test -race -count 1 ./internal/loadgen/
     echo "== go test -race ./internal/serve/... ./internal/router/"
     go test -race ./internal/serve/... ./internal/router/
-    echo "== shard race gate: dispatcher + sharded serving at N>=2 under -race"
+    echo "== shard race gate: dispatcher swap-under-traffic (ann rebuild, cache generation, reload) under -race"
     go test -race ./internal/shard/
-    go test -race -run 'TestSharded|TestMergeDeterminism|TestShardDegradationIsolation' \
+    go test -race -run 'TestANNRebuildOnSwap|TestCacheGeneration|TestReload' \
         ./internal/serve/ ./internal/shard/
-    echo "== ann race gate: index search + per-shard build/swap + query endpoints under -race"
+    echo "== ann race gate: index search + build/swap + query endpoints under -race"
     go test -race ./internal/ann/
     go test -race -run 'TestANN|TestNearest|TestConcurrentSearch' ./internal/ann/ ./internal/shard/
     go test -race -run 'TestQuery|TestANNFallbackOverHTTP|TestBatchModeHTTP|TestRouterQuery|TestRouterBatchModePropagation' \
